@@ -9,7 +9,7 @@
 use cxl_bench::emit;
 use cxl_llm::{LlmCluster, LlmConfig, LlmPlacement};
 use cxl_mlc::{Mlc, MlcConfig};
-use cxl_perf::{AccessMix, MemSystem, PerfTuning};
+use cxl_perf::{AccessMix, MemSystem, ModelParams};
 use cxl_stats::report::Table;
 use cxl_topology::{NodeId, SncMode, SocketId, Topology};
 
@@ -29,13 +29,13 @@ fn main() {
         ],
     );
     for knee in [0.60, 0.70, 0.80, 0.90] {
-        let tuning = PerfTuning::default().with_knee(knee);
-        let sys = MemSystem::with_tuning(&topo, tuning);
+        let params = ModelParams::default().with_knee(knee);
+        let sys = MemSystem::with_params(&topo, &params);
         let sweep = mlc.loaded_latency(&sys, SocketId(0), NodeId(0), AccessMix::read_only());
         let observed = Mlc::knee_utilization(&sweep, 1.3).unwrap_or(f64::NAN);
 
         let llm_topo = Topology::snc_domain_with_cxl();
-        let sys_llm = MemSystem::with_tuning(&llm_topo, tuning);
+        let sys_llm = MemSystem::with_params(&llm_topo, &params);
         let cluster = LlmCluster::with_system(LlmConfig::default(), sys_llm);
         let mmem = cluster
             .serving_rate(LlmPlacement::MmemOnly, 60)

@@ -9,7 +9,7 @@
 
 use cxl_bench::{emit, shape_line};
 use cxl_mlc::{Mlc, MlcConfig};
-use cxl_perf::{AccessMix, Distance, MemSystem, PerfTuning};
+use cxl_perf::{AccessMix, Distance, MemSystem, ModelParams};
 use cxl_spark::runner::run_all;
 use cxl_spark::ClusterConfig;
 use cxl_stats::report::Table;
@@ -19,7 +19,7 @@ fn main() {
     let _metrics = cxl_bench::metrics_guard();
     let topo = Topology::paper_testbed(SncMode::Snc4);
     let paper = MemSystem::new(&topo);
-    let fixed = MemSystem::with_tuning(&topo, PerfTuning::rsf_fixed());
+    let fixed = MemSystem::with_params(&topo, &ModelParams::rsf_fixed());
     let mlc = Mlc::new(MlcConfig::default());
 
     let (_, from, node) = Mlc::distance_endpoints(&paper)
@@ -51,7 +51,7 @@ fn main() {
     // Downstream: Spark 1:3 on both platforms.
     let spark_paper = run_all(&ClusterConfig::cxl_interleave(1, 3));
     let mut cfg_fixed = ClusterConfig::cxl_interleave(1, 3);
-    cfg_fixed.tuning = PerfTuning::rsf_fixed();
+    cfg_fixed.params = ModelParams::rsf_fixed();
     let spark_fixed = run_all(&cfg_fixed);
     let base = run_all(&ClusterConfig::baseline());
 

@@ -12,8 +12,6 @@
 
 use serde::Serialize;
 
-pub mod speed;
-
 /// True when `--json` was passed on the command line.
 pub fn json_mode() -> bool {
     std::env::args().any(|a| a == "--json")
@@ -24,20 +22,37 @@ pub fn json_mode() -> bool {
 /// Worker count precedence: `--jobs N` (or `--jobs=N`) on the command
 /// line, then the `CXL_JOBS` environment variable, then the machine's
 /// available parallelism. Output is bit-identical for any value.
+///
+/// A `--jobs` that is zero, not a number, or missing its value prints
+/// an error and exits with status 2.
 pub fn runner_from_args() -> cxl_core::Runner {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        let n = if a == "--jobs" {
-            args.next().and_then(|v| v.parse::<usize>().ok())
-        } else {
-            a.strip_prefix("--jobs=")
-                .and_then(|v| v.parse::<usize>().ok())
-        };
-        if let Some(n) = n.filter(|&n| n > 0) {
-            return cxl_core::Runner::new(n);
+    match jobs_arg(std::env::args().skip(1)) {
+        Ok(Some(n)) => cxl_core::Runner::new(n),
+        Ok(None) => cxl_core::Runner::from_env(),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
         }
     }
-    cxl_core::Runner::from_env()
+}
+
+/// The worker count from the first `--jobs N` / `--jobs=N` in `args`,
+/// `None` when the flag is absent.
+fn jobs_arg(mut args: impl Iterator<Item = String>) -> Result<Option<usize>, String> {
+    while let Some(a) = args.next() {
+        let v = if a == "--jobs" {
+            args.next().ok_or("--jobs needs a value")?
+        } else if let Some(v) = a.strip_prefix("--jobs=") {
+            v.to_string()
+        } else {
+            continue;
+        };
+        return match v.parse::<usize>() {
+            Ok(n) if n > 0 => Ok(Some(n)),
+            _ => Err(format!("--jobs expects a positive integer, got {v:?}")),
+        };
+    }
+    Ok(None)
 }
 
 /// Destination of the metrics export, from `--metrics <path>`,
@@ -81,7 +96,7 @@ pub fn metrics_guard() -> MetricsGuard {
 }
 
 /// RAII handle returned by [`metrics_guard`]; writes the JSON export on
-/// drop.
+/// drop, and exits the process with status 1 if the write fails.
 #[derive(Debug)]
 pub struct MetricsGuard {
     path: Option<std::path::PathBuf>,
@@ -95,7 +110,10 @@ impl Drop for MetricsGuard {
         let json = cxl_obs::global().export_json();
         match std::fs::write(&path, json) {
             Ok(()) => eprintln!("# metrics written to {}", path.display()),
-            Err(e) => eprintln!("# failed to write metrics to {}: {e}", path.display()),
+            Err(e) => {
+                eprintln!("error: failed to write metrics to {}: {e}", path.display());
+                std::process::exit(1);
+            }
         }
     }
 }

@@ -34,7 +34,6 @@ pub mod curve;
 pub mod mix;
 pub mod params;
 pub mod system;
-pub mod tuning;
 
 pub use curve::QueueModel;
 pub use mix::{AccessMix, Pattern};
@@ -43,4 +42,3 @@ pub use system::{
     solve_cache_reset, solve_cache_stats, Distance, FlowOutcome, FlowSpec, LatencyBreakdown,
     MemSystem, PerfError, ResourceKind, SolveCacheStats, SolveResult,
 };
-pub use tuning::PerfTuning;

@@ -192,6 +192,25 @@ impl ModelParams {
         self.ddr_read_efficiency / self.ddr_write_efficiency
     }
 
+    /// A projected next-generation CPU with the Remote Snoop Filter
+    /// bottleneck removed (§3.4: remote CXL should then approximate
+    /// remote DDR bandwidth).
+    pub fn rsf_fixed() -> Self {
+        Self {
+            rsf_cap_gbps: f64::INFINITY,
+            ..Self::default()
+        }
+    }
+
+    /// Moves the DDR knee, preserving the read/write gap (ablation:
+    /// knee-position sensitivity).
+    pub fn with_knee(mut self, knee_read: f64) -> Self {
+        let gap = self.ddr_knee_read - self.ddr_knee_write;
+        self.ddr_knee_read = knee_read;
+        self.ddr_knee_write = (knee_read - gap).max(0.05);
+        self
+    }
+
     /// Validates ranges.
     ///
     /// # Panics
@@ -304,6 +323,31 @@ mod tests {
         };
         let back: ModelParams = serde_json::from_str(&serde_json::to_string(&p).unwrap()).unwrap();
         assert_eq!(p, back);
+    }
+
+    #[test]
+    fn rsf_fixed_is_unbounded() {
+        let p = ModelParams::rsf_fixed();
+        assert!(p.rsf_cap_gbps.is_infinite());
+        p.validate();
+    }
+
+    #[test]
+    fn with_knee_preserves_gap() {
+        let p = ModelParams::default().with_knee(0.6);
+        assert!((p.ddr_knee_read - 0.6).abs() < 1e-12);
+        assert!(
+            (p.ddr_knee_read - p.ddr_knee_write - (calib::DDR_KNEE_READ - calib::DDR_KNEE_WRITE))
+                .abs()
+                < 1e-12
+        );
+        p.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "DDR read knee out of range")]
+    fn bad_knee_rejected() {
+        ModelParams::default().with_knee(1.5).validate();
     }
 
     #[test]

@@ -29,7 +29,6 @@ use cxl_topology::{MemoryTier, NodeId, NumaNode, SocketId, Topology};
 use crate::curve::QueueModel;
 use crate::mix::AccessMix;
 use crate::params::ModelParams;
-use crate::tuning::PerfTuning;
 
 /// Access distance classes from §3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -424,11 +423,25 @@ fn path_cache() -> &'static std::sync::Mutex<MemoMap<PathSetKey, Arc<Vec<Path>>>
 }
 
 fn lock_path_cache() -> std::sync::MutexGuard<'static, MemoMap<PathSetKey, Arc<Vec<Path>>>> {
-    let cache = path_cache();
+    lock_recovering(path_cache(), || {})
+}
+
+/// Locks a memo, recovering from poisoning.
+///
+/// A panic in one experiment cell while it holds the lock must not
+/// cascade `PoisonError` panics into every unrelated cell the parallel
+/// runner is driving. A memo is pure — dropping its entries is always
+/// safe — so recovery clears the poison bit plus the stored entries,
+/// calls `on_recover`, and keeps serving.
+fn lock_recovering<K, V>(
+    cache: &std::sync::Mutex<MemoMap<K, V>>,
+    on_recover: impl FnOnce(),
+) -> std::sync::MutexGuard<'_, MemoMap<K, V>> {
     match cache.lock() {
         Ok(guard) => guard,
         Err(poisoned) => {
             cache.clear_poison();
+            on_recover();
             let mut guard = poisoned.into_inner();
             guard.clear();
             guard
@@ -436,27 +449,14 @@ fn lock_path_cache() -> std::sync::MutexGuard<'static, MemoMap<PathSetKey, Arc<V
     }
 }
 
-/// Locks the solve cache, recovering from poisoning.
-///
-/// A panic in one experiment cell while it holds this lock must not
-/// cascade `PoisonError` panics into every unrelated cell the parallel
-/// runner is driving. The cache is a pure memo — dropping its entries
-/// is always safe — so recovery clears the poison bit plus the stored
-/// entries and keeps serving. Occurrences are counted as the wall-class
-/// metric `perf/solve_cache_poison_recoveries` (wall because whether a
-/// panic lands while the lock is held depends on scheduling).
+/// Locks the solve cache, recovering from poisoning. Occurrences are
+/// counted as the wall-class metric `perf/solve_cache_poison_recoveries`
+/// (wall because whether a panic lands while the lock is held depends
+/// on scheduling).
 fn lock_solve_cache() -> std::sync::MutexGuard<'static, MemoMap<SolveKey, Arc<SolveResult>>> {
-    let cache = solve_cache();
-    match cache.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => {
-            cache.clear_poison();
-            cxl_obs::wall_counter_add("perf/solve_cache_poison_recoveries", 1);
-            let mut guard = poisoned.into_inner();
-            guard.clear();
-            guard
-        }
-    }
+    lock_recovering(solve_cache(), || {
+        cxl_obs::wall_counter_add("perf/solve_cache_poison_recoveries", 1);
+    })
 }
 
 /// Snapshot of the process-wide [`MemSystem::solve`] cache counters.
@@ -511,7 +511,7 @@ pub struct MemSystem {
     /// The model parameters the resource graph was built from.
     params: ModelParams,
     /// Structural fingerprint keying the process-wide solve cache:
-    /// systems built from identical topologies and tunings share cache
+    /// systems built from identical topologies and parameters share cache
     /// entries, distinct models never collide.
     fingerprint: u64,
 }
@@ -532,7 +532,7 @@ impl MemSystem {
     /// Panics if the topology has more than two sockets (the paper's
     /// platform and the UPI model are two-socket).
     pub fn new(topo: &Topology) -> Self {
-        Self::with_tuning(topo, PerfTuning::default())
+        Self::with_params(topo, &ModelParams::default())
     }
 
     /// True when flows can target the node: DRAM nodes always, CXL
@@ -545,23 +545,11 @@ impl MemSystem {
         }
     }
 
-    /// Builds the resource graph with platform overrides (ablations and
-    /// next-generation projections). The tuning knobs overlay the
-    /// default [`ModelParams`]; see [`MemSystem::with_params`] for the
-    /// full parameter surface.
-    ///
-    /// # Panics
-    ///
-    /// Panics on more than two sockets or an invalid tuning.
-    pub fn with_tuning(topo: &Topology, tuning: PerfTuning) -> Self {
-        tuning.validate();
-        Self::with_params(topo, &tuning.to_params())
-    }
-
-    /// Builds the resource graph from an explicit parameter set — the
-    /// constructor the `cxl-calib` fitter drives with candidate
-    /// parameter vectors. `with_params(topo, &ModelParams::default())`
-    /// is bit-identical to [`MemSystem::new`].
+    /// Builds the resource graph from an explicit parameter set: the
+    /// constructor for ablations, next-generation projections
+    /// ([`ModelParams::rsf_fixed`]), and the `cxl-calib` fitter's
+    /// candidate parameter vectors. `with_params(topo,
+    /// &ModelParams::default())` is [`MemSystem::new`].
     ///
     /// # Panics
     ///
@@ -1617,7 +1605,7 @@ mod tests {
         // §3.4: with proper CXL support, cross-socket CXL bandwidth
         // should approximate cross-socket MMEM bandwidth.
         let topo = Topology::paper_testbed(SncMode::Snc4);
-        let fixed = MemSystem::with_tuning(&topo, crate::tuning::PerfTuning::rsf_fixed());
+        let fixed = MemSystem::with_params(&topo, &ModelParams::rsf_fixed());
         let mix = AccessMix::ratio(2, 1);
         let remote_cxl = fixed.max_bandwidth_gbps(SocketId(1), cxl0(), mix);
         let remote_ddr = fixed.max_bandwidth_gbps(s0(), dram_remote(), mix);
@@ -1635,8 +1623,7 @@ mod tests {
     #[test]
     fn knee_tuning_moves_the_knee() {
         let topo = Topology::paper_testbed(SncMode::Snc4);
-        let early =
-            MemSystem::with_tuning(&topo, crate::tuning::PerfTuning::default().with_knee(0.55));
+        let early = MemSystem::with_params(&topo, &ModelParams::default().with_knee(0.55));
         let mix = AccessMix::read_only();
         let peak = early.max_bandwidth_gbps(s0(), dram0(), mix);
         let at_65 = early
@@ -1758,37 +1745,29 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_solve_cache_recovers_and_counts() {
-        // A panic while holding the cache lock (here: a sacrificial
-        // thread) must not cascade into every later solve. The next
-        // lock clears the poison, drops the entries, and keeps going.
-        let reg = std::sync::Arc::new(cxl_obs::Registry::new());
-        let m = sys();
-        let f = FlowSpec::new(s0(), dram0(), AccessMix::read_only(), 10.0);
-        let clean = m.solve(std::slice::from_ref(&f));
+    fn poisoned_memo_recovers_and_counts() {
+        // A panic while holding a memo lock (here: a sacrificial
+        // thread) must not cascade into every later lock. The next lock
+        // clears the poison, drops the entries, and keeps going. A local
+        // memo stands in for the process-wide caches, which tests running
+        // concurrently would otherwise recover first.
+        let cache = std::sync::Mutex::new(MemoMap::<u32, u32>::default());
+        cache.lock().unwrap().insert(1, 1);
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _guard = cache.lock().unwrap();
+                panic!("poisoning the memo on purpose");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(cache.is_poisoned(), "setup failed to poison");
 
-        let _ = std::thread::spawn(|| {
-            let _guard = solve_cache().lock().unwrap();
-            panic!("poisoning the solve cache on purpose");
-        })
-        .join();
-        assert!(solve_cache().is_poisoned(), "setup failed to poison");
-
-        let guard = cxl_obs::scope(reg.clone());
-        let after = m.solve(std::slice::from_ref(&f));
-        drop(guard);
-        assert_eq!(
-            clean.flows[0].achieved_gbps.to_bits(),
-            after.flows[0].achieved_gbps.to_bits(),
-            "recovered cache must not change results"
-        );
-        assert!(!solve_cache().is_poisoned(), "poison bit must clear");
-        assert!(
-            reg.counter("perf/solve_cache_poison_recoveries")
-                .unwrap_or(0)
-                >= 1,
-            "recovery must be observable"
-        );
+        let mut recoveries = 0;
+        assert!(lock_recovering(&cache, || recoveries += 1).is_empty());
+        assert!(!cache.is_poisoned(), "poison bit must clear");
+        assert_eq!(recoveries, 1, "recovery must be observable");
+        lock_recovering(&cache, || recoveries += 1).insert(2, 2);
+        assert_eq!(recoveries, 1, "a healthy lock is not a recovery");
     }
 
     #[test]

@@ -138,16 +138,10 @@ impl<S> Engine<S> {
             self.now
         );
         let slot = match self.free.pop() {
-            Some(s) => {
-                #[cfg(feature = "detailed-stats")]
-                cxl_obs::counter_add("sim/slots_reused", 1);
-                s
-            }
+            Some(s) => s,
             None => {
                 self.slots.push(Slot { gen: 0, f: None });
                 debug_assert!(self.slots.len() <= u32::MAX as usize, "arena overflow");
-                #[cfg(feature = "detailed-stats")]
-                cxl_obs::counter_max("sim/arena_slots", self.slots.len() as u64);
                 (self.slots.len() - 1) as u32
             }
         };
@@ -235,8 +229,6 @@ impl<S> Engine<S> {
             }
         });
         self.heap = BinaryHeap::from(entries);
-        #[cfg(feature = "detailed-stats")]
-        cxl_obs::counter_add("sim/heap_compactions", 1);
     }
 
     /// Returns the slot to the free list, invalidating outstanding ids.
@@ -256,8 +248,6 @@ impl<S> Engine<S> {
                 // Cancelled: reap the tombstone and keep looking.
                 self.heap.pop();
                 self.free_slot(si);
-                #[cfg(feature = "detailed-stats")]
-                cxl_obs::counter_add("sim/tombstones_reaped", 1);
                 continue;
             }
             if let Some(limit) = until {

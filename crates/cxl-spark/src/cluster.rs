@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use cxl_perf::PerfTuning;
+use cxl_perf::ModelParams;
 
 /// How executor memory is placed on each server.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -74,9 +74,9 @@ pub struct ClusterConfig {
     pub spill_base_gb: f64,
     /// Memory placement.
     pub placement: Placement,
-    /// Platform tuning (RSF ceiling, knees); defaults to the paper's
-    /// Sapphire Rapids platform.
-    pub tuning: PerfTuning,
+    /// Memory-model parameters (RSF ceiling, knees, ...); defaults to
+    /// the paper's Sapphire Rapids platform.
+    pub params: ModelParams,
 }
 
 impl ClusterConfig {
@@ -89,7 +89,7 @@ impl ClusterConfig {
             ssd_spill_gbps: 1.6,
             spill_base_gb: 320.0,
             placement: Placement::MmemOnly,
-            tuning: PerfTuning::paper(),
+            params: ModelParams::default(),
         }
     }
 

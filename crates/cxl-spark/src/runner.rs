@@ -323,7 +323,7 @@ pub fn try_run_query(cfg: &ClusterConfig, query: &QueryProfile) -> Result<QueryR
     } else {
         Topology::baseline_server(SncMode::Disabled)
     };
-    let sys = MemSystem::with_tuning(&topo, cfg.tuning);
+    let sys = MemSystem::with_params(&topo, &cfg.params);
     let groups = build_groups(&topo, cfg.placement, cfg.executors_per_server())?;
 
     // Spill volume for this query, scaled from the 0.8 anchor.

@@ -693,51 +693,6 @@ impl TierManager {
         outcome
     }
 
-    /// Records a batch of accesses sharing one timestamp, returning one
-    /// [`AccessOutcome`] per access in order.
-    ///
-    /// Semantically identical to calling [`TierManager::touch`] per
-    /// access (the property tests in `tests/touch_props.rs` pin the
-    /// equivalence), but the common no-hint-fault case — every access
-    /// between NUMA balancing scans — skips the per-call migration-mode
-    /// dispatch and runs a tight epoch-record + recency-update loop,
-    /// which is what batched workload drivers (KV op blocks) want from
-    /// the hot path.
-    pub fn touch_batch(
-        &mut self,
-        accesses: &[(PageId, Rw, u64)],
-        now: SimTime,
-    ) -> Vec<AccessOutcome> {
-        let migration_active = self.cfg.migration.is_active();
-        accesses
-            .iter()
-            .map(|&(page, rw, bytes)| {
-                let idx = page.0 as usize;
-                debug_assert!(!self.pages[idx].freed, "touch of freed {page:?}");
-                if migration_active && self.pages[idx].hint_installed {
-                    // Hint fault pending: the full promotion machinery
-                    // runs, exactly as an unbatched touch would.
-                    return self.touch(page, rw, bytes, now);
-                }
-                // Fast path: mirror `touch` up to its early return.
-                let location = self.pages[idx].location;
-                match location {
-                    Location::Node(node) => self.record_node_access(node, bytes, rw.is_write()),
-                    Location::Ssd => self.epoch.record_ssd(bytes, rw.is_write()),
-                }
-                let meta = &mut self.pages[idx];
-                meta.last_access = now;
-                meta.referenced = true;
-                AccessOutcome {
-                    location,
-                    hint_fault: false,
-                    promoted: false,
-                    fault_cost: SimTime::ZERO,
-                }
-            })
-            .collect()
-    }
-
     /// The hot-page-selection promotion path: a repeat fault within the
     /// (dynamic) hot threshold, charged against the rate limit.
     fn hot_page_promotion(

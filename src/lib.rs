@@ -40,7 +40,7 @@ pub mod prelude {
     pub use cxl_cost::{CostModel, CostModelParams, RevenueModel};
     pub use cxl_ctl::{Controller, ControllerConfig, Guardrails, KnobSpec, Plant};
     pub use cxl_fault::{FaultEvent, FaultKind, FaultSchedule};
-    pub use cxl_perf::{AccessMix, FlowSpec, MemSystem, PerfTuning};
+    pub use cxl_perf::{AccessMix, FlowSpec, MemSystem, ModelParams};
     pub use cxl_sim::{Engine, SimTime};
     pub use cxl_stats::{Histogram, Summary};
     pub use cxl_tier::{AllocPolicy, MigrationMode, TierConfig, TierManager};

@@ -2,7 +2,7 @@
 
 use cxl_repro::core_api::CapacityConfig;
 use cxl_repro::kv::{KvConfig, KvStore};
-use cxl_repro::perf::{AccessMix, FlowSpec, MemSystem, PerfTuning};
+use cxl_repro::perf::{AccessMix, FlowSpec, MemSystem, ModelParams};
 use cxl_repro::sim::SimTime;
 use cxl_repro::tier::{TierConfig, TierManager};
 use cxl_repro::topology::{DdrGeneration, NodeId, SncMode, Socket, SocketId, Topology, UpiLink};
@@ -68,11 +68,11 @@ fn mem_system_rejects_many_sockets() {
 #[test]
 #[should_panic(expected = "RSF cap must be positive")]
 fn invalid_tuning_rejected() {
-    let tuning = PerfTuning {
+    let params = ModelParams {
         rsf_cap_gbps: -1.0,
         ..Default::default()
     };
-    let _ = MemSystem::with_tuning(&tiny_topology(), tuning);
+    let _ = MemSystem::with_params(&tiny_topology(), &params);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! config type survives a serde round trip unchanged.
 
 use cxl_repro::cost::{CostModelParams, PoolingConfig};
-use cxl_repro::perf::{AccessMix, PerfTuning};
+use cxl_repro::perf::{AccessMix, ModelParams};
 use cxl_repro::spark::ClusterConfig;
 use cxl_repro::topology::{CxlDevice, SncMode, Topology};
 use cxl_repro::ycsb::{GeneratorConfig, Op, Workload};
@@ -49,10 +49,10 @@ fn access_mix_roundtrips() {
 }
 
 #[test]
-fn perf_tuning_roundtrips() {
-    let t = PerfTuning::default().with_knee(0.7);
-    let back = roundtrip(&t);
-    assert_eq!(back, t);
+fn model_params_roundtrips() {
+    let p = ModelParams::default().with_knee(0.7);
+    let back = roundtrip(&p);
+    assert_eq!(back, p);
     back.validate();
 }
 
@@ -70,7 +70,7 @@ fn spark_cluster_config_roundtrips() {
     let back = roundtrip(&c);
     assert_eq!(back.servers, c.servers);
     assert_eq!(back.placement, c.placement);
-    assert_eq!(back.tuning, c.tuning);
+    assert_eq!(back.params, c.params);
 }
 
 #[test]
