@@ -8,7 +8,7 @@
 
 use cxl_bench::{emit, shape_line};
 use cxl_kv::{KvConfig, KvStore, MemProfile};
-use cxl_perf::{AccessMix, MemSystem};
+use cxl_perf::{AccessMix, MemSystem, ModelParams};
 use cxl_stats::report::Table;
 use cxl_tier::TierConfig;
 use cxl_topology::{CxlDevice, DdrGeneration, NodeId, SncMode, Socket, SocketId, Topology};
@@ -83,7 +83,8 @@ fn main() {
     emit(&table, || {
         let mut out = table.render();
         out.push('\n');
-        let lat_ratio = sys_asic.idle_latency_ns(s0, cxl, AccessMix::read_only()) / 97.0;
+        let lat_ratio = sys_asic.idle_latency_ns(s0, cxl, AccessMix::read_only())
+            / ModelParams::default().mmem_read_idle_ns;
         out.push_str(&shape_line(
             "ASIC latency overhead vs MMEM",
             "2.4-2.6x (§3.3)",

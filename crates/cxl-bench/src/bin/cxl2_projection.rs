@@ -15,16 +15,17 @@ use cxl_topology::{
 };
 
 /// A projected CXL 2.0 expander: Gen6 x16, 4 x DDR5-5600, same ASIC
-/// controller latency class as the A1000.
+/// controller latency and link efficiency as the A1000.
 fn gen6_device() -> CxlDevice {
+    let a1000 = CxlDevice::a1000();
     CxlDevice::new(
         "Gen6 ASIC projection",
         PcieLink::gen6_x16(),
         4,
         DdrGeneration::Ddr5_5600,
         512,
-        153.4,
-        0.736,
+        a1000.controller_latency_ns,
+        a1000.link_efficiency,
     )
 }
 

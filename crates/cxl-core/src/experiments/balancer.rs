@@ -21,6 +21,7 @@
 
 use serde::Serialize;
 
+use cxl_llm::LlmConfig;
 use cxl_perf::{FlowSpec, MemSystem, ResourceKind};
 use cxl_sim::SimTime;
 use cxl_stats::dist::{KeyChooser, Zipfian};
@@ -180,10 +181,12 @@ impl BalancerStudy {
     }
 }
 
-/// Latency derate identical in spirit to the §5 LLM model: spiking
-/// loaded latency stalls the consumer.
+/// The §5 LLM model's latency derate (same reference latency and
+/// scale as [`LlmConfig::default`]): spiking loaded latency stalls the
+/// consumer.
 fn penalty(latency_ns: f64) -> f64 {
-    1.0 / (1.0 + (latency_ns - 97.0).max(0.0) / 635.0)
+    let llm = LlmConfig::default();
+    1.0 / (1.0 + (latency_ns - llm.lat_ref_ns).max(0.0) / llm.penalty_scale_ns)
 }
 
 fn scan_cfg() -> NumaBalancingConfig {

@@ -174,11 +174,6 @@ impl SignalPlane {
         self.track(name, Source::HistogramCountDelta);
     }
 
-    /// Registers an externally fed series (see [`SignalPlane::observe`]).
-    pub fn track_external(&mut self, name: &str) {
-        self.track(name, Source::External);
-    }
-
     /// Takes one sample from `snap`, appending a point to every tracked
     /// registry-backed series. The snapshot becomes the new baseline for
     /// the next delta.

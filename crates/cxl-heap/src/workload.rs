@@ -384,7 +384,7 @@ impl HeapWorkload {
                 *far |= !self.is_top[node.0];
             }
             Location::Ssd => {
-                ns += cxl_perf::calib::SSD_READ_LATENCY_NS;
+                ns += cxl_perf::SSD_READ_LATENCY_NS;
                 *far = true;
             }
         }

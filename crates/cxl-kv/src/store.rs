@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::collections::VecDeque;
 
-use cxl_perf::{calib, MemSystem, ResourceKind};
+use cxl_perf::{MemSystem, ResourceKind, SSD_READ_LATENCY_NS};
 
 /// Extra software latency per operation when FLASH mode is on: KeyDB
 /// routes reads through the RocksDB memtable/block-cache path even for
@@ -500,7 +500,7 @@ impl KvStore {
             }
             Location::Ssd => {
                 hit_ssd = true;
-                ns += calib::SSD_READ_LATENCY_NS + ROCKSDB_MISS_NS;
+                ns += SSD_READ_LATENCY_NS + ROCKSDB_MISS_NS;
                 if self.flash {
                     let evictions = self.cache_in(page);
                     // Dirty evictions add a write-back (charged as SSD

@@ -29,7 +29,7 @@ pub mod server;
 
 use serde::{Deserialize, Serialize};
 
-use cxl_perf::{AccessMix, FlowSpec, MemSystem};
+use cxl_perf::{AccessMix, FlowSpec, MemSystem, ModelParams};
 use cxl_topology::{MemoryTier, NodeId, SocketId, Topology};
 
 /// Inference workload and platform constants.
@@ -46,7 +46,8 @@ pub struct LlmConfig {
     pub backend_plateau_gbps: f64,
     /// Threads per CPU inference backend (12 in §5.1).
     pub threads_per_backend: usize,
-    /// Reference (uncontended) latency for the penalty, ns.
+    /// Reference (uncontended) latency for the penalty, ns; the model's
+    /// MMEM idle latency by default.
     pub lat_ref_ns: f64,
     /// Latency-penalty scale, ns: extra blended latency that halves
     /// delivered throughput.
@@ -71,7 +72,7 @@ impl Default for LlmConfig {
             per_thread_gbps: 1.05,
             backend_plateau_gbps: 24.2,
             threads_per_backend: 12,
-            lat_ref_ns: 97.0,
+            lat_ref_ns: ModelParams::default().mmem_read_idle_ns,
             penalty_scale_ns: 635.0,
             util_cap: 0.97,
             kv_floor_gbps: 12.0,

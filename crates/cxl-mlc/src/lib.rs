@@ -107,17 +107,6 @@ impl Mlc {
         &self.cfg
     }
 
-    /// Idle latency for a mix, ns (the first point of a sweep).
-    pub fn idle_latency(
-        &self,
-        sys: &MemSystem,
-        from: SocketId,
-        node: NodeId,
-        mix: AccessMix,
-    ) -> f64 {
-        sys.idle_latency_ns(from, node, mix)
-    }
-
     /// Runs a full loaded-latency sweep for one distance and mix.
     ///
     /// Points are ordered by increasing offered load. Achieved bandwidth
@@ -142,28 +131,6 @@ impl Mlc {
                     latency_ns: out.latency_ns,
                 }
             })
-            .collect()
-    }
-
-    /// Machine-readable loaded-latency sweep: `(rate_gbps, latency_ns,
-    /// bandwidth_gbps)` tuples in step order.
-    ///
-    /// The rate column is the *achieved* injection rate
-    /// ([`LoadedPoint::achieved_rate_gbps`]): equal to the nominal
-    /// offered rate below saturation and clamped to the achieved
-    /// bandwidth past it, which is what external measurement sweeps
-    /// report. This is the export the `cxl-calib` fitter compares
-    /// against digitized curves.
-    pub fn sweep_points(
-        &self,
-        sys: &MemSystem,
-        from: SocketId,
-        node: NodeId,
-        mix: AccessMix,
-    ) -> Vec<(f64, f64, f64)> {
-        self.loaded_latency(sys, from, node, mix)
-            .into_iter()
-            .map(|p| (p.achieved_rate_gbps(), p.latency_ns, p.bandwidth_gbps))
             .collect()
     }
 
@@ -277,31 +244,6 @@ impl Mlc {
         fig
     }
 
-    /// Bandwidth-scaling curve: achieved bandwidth as worker threads are
-    /// added (each contributing `per_thread_gbps` of demand), MLC's
-    /// `--max_bandwidth` methodology.
-    pub fn bandwidth_scaling(
-        &self,
-        sys: &MemSystem,
-        from: SocketId,
-        node: NodeId,
-        mix: AccessMix,
-        per_thread_gbps: f64,
-        max_threads: usize,
-    ) -> Vec<LoadedPoint> {
-        (1..=max_threads)
-            .map(|t| {
-                let offered = per_thread_gbps * t as f64;
-                let out = sys.loaded_point(FlowSpec::new(from, node, mix, offered));
-                LoadedPoint {
-                    offered_gbps: offered,
-                    bandwidth_gbps: out.achieved_gbps,
-                    latency_ns: out.latency_ns,
-                }
-            })
-            .collect()
-    }
-
     /// Summary matrix: idle latency per (distance × mix), like the §3.2
     /// headline numbers.
     pub fn idle_latency_matrix(&self, sys: &MemSystem) -> Table {
@@ -391,16 +333,13 @@ mod tests {
     }
 
     #[test]
-    fn sweep_points_report_achieved_rate_at_saturation() {
+    fn achieved_rate_clamps_at_saturation() {
         let s = sys();
         let m = mlc();
         let pts = m.loaded_latency(&s, SocketId(0), NodeId(0), AccessMix::read_only());
-        let tuples = m.sweep_points(&s, SocketId(0), NodeId(0), AccessMix::read_only());
-        assert_eq!(tuples.len(), pts.len());
         let peak = Mlc::peak_bandwidth(&pts);
-        for (p, &(rate, lat, bw)) in pts.iter().zip(tuples.iter()) {
-            assert_eq!(lat, p.latency_ns);
-            assert_eq!(bw, p.bandwidth_gbps);
+        for p in &pts {
+            let rate = p.achieved_rate_gbps();
             // Below saturation the rate is the offered rate; past it the
             // nominal offered rate is unreachable and the reported rate
             // clamps to what the workers actually sustain.
@@ -413,9 +352,9 @@ mod tests {
         }
         // The default sweep overdrives to 1.25x peak, so the conflation
         // is actually exercised: some steps must clamp.
-        assert!(tuples
+        assert!(pts
             .iter()
-            .any(|&(r, _, _)| r < pts.last().unwrap().offered_gbps - 1.0));
+            .any(|p| p.achieved_rate_gbps() < pts.last().unwrap().offered_gbps - 1.0));
     }
 
     #[test]
@@ -518,24 +457,6 @@ mod tests {
         let s = sys();
         let eps = Mlc::distance_endpoints(&s);
         assert_eq!(eps.len(), 4);
-    }
-
-    #[test]
-    fn bandwidth_scaling_saturates_at_peak() {
-        let s = sys();
-        let m = mlc();
-        let curve =
-            m.bandwidth_scaling(&s, SocketId(0), NodeId(0), AccessMix::read_only(), 4.0, 32);
-        assert_eq!(curve.len(), 32);
-        // Linear until saturation, then flat at the peak.
-        assert!((curve[4].bandwidth_gbps - 20.0).abs() < 1e-6);
-        let peak = Mlc::peak_bandwidth(&curve);
-        assert!((peak - 66.8).abs() < 0.5);
-        assert!((curve[31].bandwidth_gbps - peak).abs() < 1e-6);
-        // Latency monotone along the curve.
-        for w in curve.windows(2) {
-            assert!(w[1].latency_ns >= w[0].latency_ns - 1e-9);
-        }
     }
 
     #[test]

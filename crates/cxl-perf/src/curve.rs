@@ -6,12 +6,13 @@
 //! the memory controller", with the knee at 75–83 % for reads and moving
 //! left as the write share grows.
 
-use serde::{Deserialize, Serialize};
-
-use crate::calib::MAX_UTILIZATION;
+/// Maximum utilization used when evaluating queue curves; demands beyond
+/// this are clamped by the bandwidth solver instead. A numerical guard
+/// on the `1 / (1 − u)` pole, not a fitted model parameter.
+const MAX_UTILIZATION: f64 = 0.995;
 
 /// A per-resource queueing-delay model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueModel {
     /// Utilization at which queueing becomes significant for a read-only
     /// blend (write-heavy blends shift the knee left).

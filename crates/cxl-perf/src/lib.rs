@@ -17,8 +17,8 @@
 //! (flat until a knee at 60–83 % utilization, then super-linear — §3.2)
 //! produce the loaded latency.
 //!
-//! Calibration targets (all from §3.2–§3.4 of the paper) are encoded in
-//! [`calib`] and asserted by this crate's tests:
+//! Calibration targets (all from §3.2–§3.4 of the paper) are the
+//! defaults of [`ModelParams`] and are asserted by this crate's tests:
 //!
 //! * MMEM: 97 ns idle, ~67 GB/s read peak (87 % of 76.8 GB/s), 54.6 GB/s
 //!   write-only, knee at 75–83 % shifting left with writes.
@@ -29,15 +29,13 @@
 //! * CXL-r: 485 ns idle, total bandwidth clamped near 20.4 GB/s by the
 //!   CPU's Remote Snoop Filter while UPI stays below 30 % utilized.
 
-pub mod calib;
-pub mod curve;
-pub mod mix;
-pub mod params;
-pub mod system;
+mod curve;
+mod mix;
+mod params;
+mod system;
 
-pub use curve::QueueModel;
 pub use mix::{AccessMix, Pattern};
-pub use params::ModelParams;
+pub use params::{ModelParams, SSD_BW_GBPS, SSD_READ_LATENCY_NS};
 pub use system::{
     solve_cache_reset, solve_cache_stats, Distance, FlowOutcome, FlowSpec, LatencyBreakdown,
     MemSystem, PerfError, ResourceKind, SolveCacheStats, SolveResult,

@@ -1,10 +1,11 @@
-//! The incremental component-wise solver must be (a) bit-identical to
-//! the monolithic reference — the absolute-scale water-filling
-//! formulation is partition-invariant, so converging a component alone
-//! equals converging it inside the full set, (b) a pure function of
-//! the flow set regardless of cache history, and (c) actually
+//! The incremental component-wise solver must be (a) a pure function of
+//! the flow set regardless of cache history, and (b) actually
 //! incremental: perturbing one flow of a resource-disjoint set
 //! re-converges one component and replays the rest from the cache.
+//! Bit-identity with the monolithic reference solve is pinned by the
+//! unit tests of `system.rs`, where that test-only oracle lives. These
+//! tests read the process-wide cache counters, so they run in their
+//! own test binary.
 
 use std::sync::Mutex;
 
@@ -39,51 +40,6 @@ fn disjoint_flows() -> Vec<FlowSpec> {
 }
 
 #[test]
-fn incremental_is_bit_identical_to_reference() {
-    let _guard = CACHE_LOCK.lock().unwrap();
-    let sys = MemSystem::new(&Topology::paper_testbed(SncMode::Snc4));
-    let flows = disjoint_flows();
-    solve_cache_reset();
-    let inc = sys.try_solve(&flows).unwrap();
-    let reference = sys.solve_reference(&flows).unwrap();
-    assert_eq!(inc.flows.len(), reference.flows.len());
-    for (a, b) in inc.flows.iter().zip(reference.flows.iter()) {
-        assert_eq!(
-            a.achieved_gbps.to_bits(),
-            b.achieved_gbps.to_bits(),
-            "bandwidth drifted: {a:?} vs {b:?}"
-        );
-        assert_eq!(
-            a.latency_ns.to_bits(),
-            b.latency_ns.to_bits(),
-            "latency drifted: {a:?} vs {b:?}"
-        );
-        assert_eq!(a.throttled, b.throttled);
-    }
-    // Utilization covers the same resources in the same (index) order.
-    let ka: Vec<_> = inc.utilization.iter().map(|&(k, _)| k).collect();
-    let kb: Vec<_> = reference.utilization.iter().map(|&(k, _)| k).collect();
-    assert_eq!(ka, kb, "utilization resource order changed");
-}
-
-#[test]
-fn single_component_sets_are_bit_identical_to_reference() {
-    let _guard = CACHE_LOCK.lock().unwrap();
-    let sys = MemSystem::new(&Topology::paper_testbed(SncMode::Snc4));
-    // Two flows sharing one DDR group: one component, so the
-    // incremental path must delegate to the very same monolithic run.
-    let mix = AccessMix::read_only();
-    let f = FlowSpec::new(s0(), NodeId(0), mix, 10_000.0);
-    solve_cache_reset();
-    let inc = sys.try_solve(&[f, f]).unwrap();
-    let reference = sys.solve_reference(&[f, f]).unwrap();
-    for (a, b) in inc.flows.iter().zip(reference.flows.iter()) {
-        assert_eq!(a.achieved_gbps.to_bits(), b.achieved_gbps.to_bits());
-        assert_eq!(a.latency_ns.to_bits(), b.latency_ns.to_bits());
-    }
-}
-
-#[test]
 fn knob_probe_reconverges_only_the_dirty_component() {
     let _guard = CACHE_LOCK.lock().unwrap();
     let sys = MemSystem::new(&Topology::paper_testbed(SncMode::Snc4));
@@ -112,7 +68,6 @@ fn knob_probe_reconverges_only_the_dirty_component() {
         5,
         "clean components replay from the cache: {after:?}"
     );
-    assert!(after.component_hit_rate() > 0.0);
 }
 
 #[test]
@@ -155,16 +110,4 @@ fn mixed_component_sets_partition_correctly() {
         stats.component_misses, 2,
         "UPI-sharing flows must merge into one component: {stats:?}"
     );
-    // And the merged solve still matches the monolithic reference,
-    // bit for bit.
-    let inc = sys.try_solve(&flows).unwrap();
-    let reference = sys.solve_reference(&flows).unwrap();
-    for (a, b) in inc.flows.iter().zip(reference.flows.iter()) {
-        assert_eq!(
-            a.latency_ns.to_bits(),
-            b.latency_ns.to_bits(),
-            "latency drifted: {a:?} vs {b:?}"
-        );
-        assert_eq!(a.achieved_gbps.to_bits(), b.achieved_gbps.to_bits());
-    }
 }

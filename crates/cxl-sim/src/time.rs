@@ -70,11 +70,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Milliseconds as a float.
-    pub fn as_ms_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(rhs.0))

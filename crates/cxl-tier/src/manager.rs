@@ -1893,7 +1893,7 @@ mod tests {
             .with_cxl(CxlDevice::a1000())
             .socket(56, 8, DdrGeneration::Ddr5_4800, 512)
             .with_cxl(CxlDevice::a1000())
-            .upi_links(2, 62.4, 30.0)
+            .upi_links(2, 62.4)
             .build()
     }
 

@@ -12,7 +12,7 @@
 //!     .socket(48, 8, DdrGeneration::Ddr5_5600, 768)
 //!     .with_cxl(CxlDevice::a1000())
 //!     .socket(48, 8, DdrGeneration::Ddr5_5600, 768)
-//!     .upi_links(3, 24.0, 30.0)
+//!     .upi_links(3, 24.0)
 //!     .build();
 //! assert_eq!(topo.sockets.len(), 2);
 //! assert_eq!(topo.total_cxl_gib(), 256);
@@ -71,12 +71,9 @@ impl TopologyBuilder {
     }
 
     /// Adds `n` identical UPI links between the sockets.
-    pub fn upi_links(mut self, n: usize, bandwidth_gbps: f64, latency_ns: f64) -> Self {
+    pub fn upi_links(mut self, n: usize, bandwidth_gbps: f64) -> Self {
         for _ in 0..n {
-            self.upi.push(UpiLink {
-                bandwidth_gbps,
-                latency_ns,
-            });
+            self.upi.push(UpiLink { bandwidth_gbps });
         }
         self
     }
@@ -146,7 +143,7 @@ mod tests {
             .with_cxl(CxlDevice::a1000())
             .with_cxl(CxlDevice::a1000())
             .socket(64, 12, DdrGeneration::Ddr5_6400, 1024)
-            .upi_links(4, 32.0, 30.0)
+            .upi_links(4, 32.0)
             .build();
         assert_eq!(t.sockets.len(), 2);
         assert_eq!(t.total_cxl_gib(), 512);

@@ -187,16 +187,6 @@ impl Fabric {
         &self.links
     }
 
-    /// Host names, sorted.
-    pub fn host_names(&self) -> impl Iterator<Item = &str> {
-        self.hosts.keys().map(String::as_str)
-    }
-
-    /// Device names, sorted.
-    pub fn device_names(&self) -> impl Iterator<Item = &str> {
-        self.devices.keys().map(String::as_str)
-    }
-
     /// Deterministic shortest path (fewest switch traversals; hop-count
     /// ties resolve to the lowest-id predecessor chain) from a host
     /// port to a device port, or `None` when either name is unknown or

@@ -9,21 +9,21 @@ use crate::device::{CxlDevice, DdrGeneration};
 pub struct SocketId(pub usize);
 
 /// A UPI (Ultra Path Interconnect) link between two sockets.
+///
+/// Only its bandwidth is hardware description; the one-way hop latency
+/// a remote access pays is a fitted model parameter
+/// (`cxl_perf::ModelParams::upi_hop_ns`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct UpiLink {
     /// Unidirectional bandwidth in GB/s.
     pub bandwidth_gbps: f64,
-    /// One-way latency contribution in ns for a remote access.
-    pub latency_ns: f64,
 }
 
 impl UpiLink {
-    /// SPR UPI 2.0 link at 16 GT/s: ~32 GB/s per direction; the remote
-    /// DDR idle penalty (130 − 97 = 33 ns one way) comes from §3.2.
+    /// SPR UPI 2.0 link at 16 GT/s: ~32 GB/s per direction.
     pub fn spr_default() -> Self {
         Self {
             bandwidth_gbps: 32.0,
-            latency_ns: 33.0,
         }
     }
 }
@@ -99,6 +99,5 @@ mod tests {
     fn upi_defaults_are_positive() {
         let u = UpiLink::spr_default();
         assert!(u.bandwidth_gbps > 0.0);
-        assert!(u.latency_ns > 0.0);
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example graph_analytics`
 
-use cxl_repro::perf::{calib, AccessMix, FlowSpec, MemSystem};
+use cxl_repro::perf::{AccessMix, FlowSpec, MemSystem, SSD_BW_GBPS};
 use cxl_repro::sim::SimTime;
 use cxl_repro::stats::rng::stream_rng;
 use cxl_repro::tier::{AllocPolicy, Location, Rw, TierConfig, TierManager};
@@ -87,7 +87,7 @@ fn iteration_time_s(
         bw_s = bw_s.max(bytes / 1e9 / out.achieved_gbps.max(1e-9));
     }
     // SSD-resident pages stream from (and re-spill to) flash.
-    let ssd_s = 2.0 * ssd_bytes as f64 / 1e9 / calib::SSD_BW_GBPS;
+    let ssd_s = 2.0 * ssd_bytes as f64 / 1e9 / SSD_BW_GBPS;
     cpu_s.max(bw_s) + ssd_s
 }
 

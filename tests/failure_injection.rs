@@ -66,7 +66,7 @@ fn mem_system_rejects_many_sockets() {
 }
 
 #[test]
-#[should_panic(expected = "RSF cap must be positive")]
+#[should_panic(expected = "model parameter rsf_cap_gbps must be > 0")]
 fn invalid_tuning_rejected() {
     let params = ModelParams {
         rsf_cap_gbps: -1.0,
@@ -111,7 +111,6 @@ fn unbalanced_upi_topology_still_solves() {
     let mut topo = Topology::paper_testbed(SncMode::Disabled);
     topo.upi = vec![UpiLink {
         bandwidth_gbps: 8.0,
-        latency_ns: 50.0,
     }];
     let sys = MemSystem::new(&topo);
     // Remote reads are now UPI-bound well below DDR capacity.

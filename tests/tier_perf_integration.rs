@@ -118,7 +118,7 @@ fn two_socket_demotion_fills_local_cxl_before_crossing_upi() {
         .with_cxl(CxlDevice::a1000())
         .socket(56, 8, DdrGeneration::Ddr5_4800, 512)
         .with_cxl(CxlDevice::a1000())
-        .upi_links(2, 62.4, 30.0)
+        .upi_links(2, 62.4)
         .build();
     let mut cfg = TierConfig::bind(vec![DRAM0]);
     cfg.accessor_socket = SocketId(0);
