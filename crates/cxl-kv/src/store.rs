@@ -2,7 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use std::collections::HashSet;
 use std::collections::VecDeque;
 
 use cxl_perf::{MemSystem, ResourceKind, SSD_READ_LATENCY_NS};
@@ -154,9 +153,7 @@ impl RunResult {
 
 /// Persistent generator session for the queue-fed serving entry point
 /// ([`KvStore::service_request`]): requests trickle in one at a time,
-/// but the op stream must stay one continuous deterministic YCSB trace
-/// (and re-building a Zipfian generator per request would re-pay the
-/// zeta-normalization setup on every call).
+/// but the op stream must stay one continuous deterministic YCSB trace.
 struct ServeSession {
     workload: Workload,
     generator: Generator,
@@ -175,15 +172,18 @@ pub struct KvStore {
     lat_ns: Vec<f64>,
     /// CLOCK ring of memory-resident pages for `maxmemory` eviction.
     ring: VecDeque<PageId>,
-    referenced: HashSet<PageId>,
+    /// CLOCK reference bit per page, indexed by `PageId.0`: the store's
+    /// tier manager hands out dense ids and never reuses one.
+    referenced: Vec<bool>,
     flash: bool,
     now: SimTime,
     epoch_start: SimTime,
     runs: u64,
     /// Deterministic sampler for Random/LFU eviction.
     evict_rng: rand::rngs::SmallRng,
-    /// Page access frequencies for LFU (decayed periodically).
-    freq: std::collections::HashMap<PageId, u32>,
+    /// LFU access count per page, indexed like `referenced` (decayed
+    /// periodically).
+    freq: Vec<u32>,
     ops_since_decay: u64,
     /// Live serving session, if a `service_request` stream is open.
     serve: Option<ServeSession>,
@@ -216,7 +216,7 @@ impl KvStore {
                 ring.push_back(p);
             }
         }
-        let lat_ns = Self::idle_latency_table(&sys, &tm);
+        let lat_ns = Self::idle_latency_table(&sys);
         let cfg_seed = cfg.seed;
         let mut store = Self {
             sys,
@@ -225,7 +225,7 @@ impl KvStore {
             pages,
             lat_ns,
             ring,
-            referenced: HashSet::new(),
+            referenced: vec![false; n_pages as usize],
             flash,
             now: SimTime::ZERO,
             epoch_start: SimTime::ZERO,
@@ -234,7 +234,7 @@ impl KvStore {
                 use rand::SeedableRng;
                 rand::rngs::SmallRng::seed_from_u64(cxl_stats::rng::derive_seed(cfg_seed, "evict"))
             },
-            freq: std::collections::HashMap::new(),
+            freq: vec![0; n_pages as usize],
             ops_since_decay: 0,
             serve: None,
         };
@@ -242,8 +242,7 @@ impl KvStore {
         store
     }
 
-    fn idle_latency_table(sys: &MemSystem, tm: &TierManager) -> Vec<f64> {
-        let _ = tm;
+    fn idle_latency_table(sys: &MemSystem) -> Vec<f64> {
         sys.nodes()
             .iter()
             .map(|n| {
@@ -285,7 +284,7 @@ impl KvStore {
     /// latencies.
     pub fn apply_topology(&mut self, topo: &Topology) {
         self.sys = MemSystem::new(topo);
-        self.lat_ns = Self::idle_latency_table(&self.sys, &self.tm);
+        self.lat_ns = Self::idle_latency_table(&self.sys);
     }
 
     /// Reacts to an expander failure: fences and drains `node` through
@@ -367,8 +366,21 @@ impl KvStore {
             if !self.tm.location(p).is_ssd() {
                 self.ring.push_back(p);
             }
+            debug_assert_eq!(p.0 as usize, self.referenced.len(), "page ids are dense");
+            self.referenced.push(false);
+            self.freq.push(0);
             self.pages.push(p);
         }
+    }
+
+    /// Sets `page`'s CLOCK reference bit.
+    fn mark_referenced(&mut self, page: PageId) {
+        self.referenced[page.0 as usize] = true;
+    }
+
+    /// Clears `page`'s CLOCK reference bit, returning whether it was set.
+    fn take_referenced(&mut self, page: PageId) -> bool {
+        std::mem::take(&mut self.referenced[page.0 as usize])
     }
 
     /// Picks an eviction victim from the resident ring per the policy.
@@ -384,7 +396,7 @@ impl KvStore {
                     if self.tm.location(victim).is_ssd() {
                         continue; // Stale entry.
                     }
-                    if self.referenced.remove(&victim) {
+                    if self.take_referenced(victim) {
                         self.ring.push_back(victim);
                         continue;
                     }
@@ -393,7 +405,7 @@ impl KvStore {
                 // Everything referenced: take the next resident page.
                 while let Some(victim) = self.ring.pop_front() {
                     if !self.tm.location(victim).is_ssd() {
-                        self.referenced.remove(&victim);
+                        self.take_referenced(victim);
                         return Some(victim);
                     }
                 }
@@ -409,7 +421,7 @@ impl KvStore {
                     if self.tm.location(victim).is_ssd() {
                         continue;
                     }
-                    self.referenced.remove(&victim);
+                    self.take_referenced(victim);
                     return Some(victim);
                 }
                 None
@@ -428,14 +440,13 @@ impl KvStore {
                         if self.tm.location(page).is_ssd() {
                             continue;
                         }
-                        let f = self.freq.get(&page).copied().unwrap_or(0);
-                        candidates.push((idx, f));
+                        candidates.push((idx, self.freq[page.0 as usize]));
                     }
                     if let Some((idx, _)) = cxl_stats::argmin_by(candidates, |&(_, f)| f) {
                         self.ring.swap(idx, 0);
                         let victim = self.ring.pop_front()?;
-                        self.referenced.remove(&victim);
-                        self.freq.remove(&victim);
+                        self.take_referenced(victim);
+                        self.freq[victim.0 as usize] = 0;
                         return Some(victim);
                     }
                 }
@@ -445,34 +456,25 @@ impl KvStore {
     }
 
     /// Caches an SSD page into memory, evicting policy-chosen pages as
-    /// needed. Returns the number of evictions performed.
+    /// needed; [`TierManager::evict_to_ssd`] charges each dirty
+    /// eviction's write-back as SSD bandwidth, asynchronous to the op.
     ///
     /// Gives up (leaving the page on SSD) when no victim can make room —
     /// after an evacuation shrank memory, a store must keep serving at
     /// SSD latency rather than abort.
-    fn cache_in(&mut self, page: PageId) -> u64 {
-        let mut evictions = 0;
-        loop {
-            match self.tm.load_from_ssd(page, self.now) {
-                Ok(()) => {
-                    self.ring.push_back(page);
-                    self.referenced.insert(page);
-                    return evictions;
-                }
-                Err(_) => {
-                    let Some(victim) = self.pick_victim() else {
-                        cxl_obs::counter_add("kv/cache_in_give_ups", 1);
-                        return evictions;
-                    };
-                    if self.tm.evict_to_ssd(victim).is_err() {
-                        // Stale victim (already spilled, e.g. by an
-                        // evacuation racing the CLOCK ring); try another.
-                        continue;
-                    }
-                    evictions += 1;
-                }
-            }
+    fn cache_in(&mut self, page: PageId) {
+        while self.tm.load_from_ssd(page, self.now).is_err() {
+            let Some(victim) = self.pick_victim() else {
+                cxl_obs::counter_add("kv/cache_in_give_ups", 1);
+                return;
+            };
+            // A stale victim (already spilled, e.g. by an evacuation
+            // racing the CLOCK ring) fails to evict; the loop tries
+            // another.
+            let _ = self.tm.evict_to_ssd(victim);
         }
+        self.ring.push_back(page);
+        self.mark_referenced(page);
     }
 
     /// Prices a single-page access: touch, fault costs, SSD caching.
@@ -480,14 +482,14 @@ impl KvStore {
     fn access_page(&mut self, idx: usize, rw: Rw, chases: f64, bytes: u64) -> (f64, bool) {
         let page = self.pages[idx];
         let outcome = self.tm.touch(page, rw, bytes, self.now);
-        self.referenced.insert(page);
+        self.mark_referenced(page);
         if self.cfg.eviction == EvictionPolicy::Lfu && self.flash {
-            *self.freq.entry(page).or_insert(0) += 1;
+            self.freq[page.0 as usize] += 1;
             self.ops_since_decay += 1;
             // Periodic halving keeps counters adaptive (Redis LFU decay).
             if self.ops_since_decay >= 100_000 {
                 self.ops_since_decay = 0;
-                for f in self.freq.values_mut() {
+                for f in &mut self.freq {
                     *f /= 2;
                 }
             }
@@ -502,10 +504,7 @@ impl KvStore {
                 hit_ssd = true;
                 ns += SSD_READ_LATENCY_NS + ROCKSDB_MISS_NS;
                 if self.flash {
-                    let evictions = self.cache_in(page);
-                    // Dirty evictions add a write-back (charged as SSD
-                    // bandwidth, asynchronous to the op).
-                    let _ = evictions;
+                    self.cache_in(page);
                 }
                 // Re-price the chases at the page's new home.
                 if let Location::Node(node) = self.tm.location(page) {
@@ -1206,21 +1205,32 @@ mod tests {
 
     #[test]
     fn service_request_continues_one_stream() {
-        // 100 requests of 10 ops each must walk the same deterministic
-        // op stream as one session: epoch refreshes land on the same op
-        // counts, so tier activity matches a single long-lived session
-        // rather than 100 fresh generators replaying the same hot keys.
-        let mut split = ssd_store(0.8);
-        let mut total = SimTime::ZERO;
-        for i in 0..100u64 {
-            total += split.service_request(SimTime::from_us(i * 100), Workload::C, 10);
+        // 100 ten-op requests must walk the same op stream as one
+        // 1000-op request at the same dispatch instant: one generator
+        // session, with epoch refreshes (every 300 ops, so mid-request)
+        // on the same op counts. Fresh generators per request would
+        // draw other keys and leave other tier state.
+        let store = || {
+            let mut s = ssd_store(0.8);
+            s.cfg.epoch_ops = 300;
+            s
+        };
+        let at = SimTime::from_us(100);
+        let mut split = store();
+        for _ in 0..100 {
+            split.service_request(at, Workload::C, 10);
         }
-        assert!(total > SimTime::ZERO);
+        let mut whole = store();
+        whole.service_request(at, Workload::C, 1000);
+        assert!(split.tier().stats().ssd_loads > 0);
+        assert_eq!(split.tier().stats(), whole.tier().stats());
+        assert_eq!(split.residency(), whole.residency());
         // Switching workloads opens a new session instead of continuing
         // the old trace.
-        let before = split.tier().stats().clone();
-        split.service_request(SimTime::from_ms(100), Workload::A, 10);
-        let _ = before;
+        split.service_request(at, Workload::A, 10);
+        let session = split.serve.as_ref().expect("session is open");
+        assert_eq!((session.workload, session.ops), (Workload::A, 10));
+        assert_eq!(split.runs, 2);
     }
 
     #[test]

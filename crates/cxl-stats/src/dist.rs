@@ -6,6 +6,9 @@
 //! incremental Zipfian) so that hot-key skew — which drives the
 //! Hot-Promote results — matches the paper's setup.
 
+use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock, PoisonError};
+
 use rand::Rng;
 
 /// Zipfian skew constant used by YCSB by default.
@@ -79,7 +82,11 @@ impl Zipfian {
             theta > 0.0 && theta < 1.0,
             "theta must be in (0, 1), got {theta}"
         );
-        let zetan = Self::zeta(items, theta);
+        Self::with_zetan(items, theta, zeta_memoized(items, theta))
+    }
+
+    /// Builds the chooser from a precomputed normalizer `zetan` = ζ(items, θ).
+    fn with_zetan(items: u64, theta: f64, zetan: f64) -> Self {
         let zeta2theta = Self::zeta(2, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / items as f64).powf(1.0 - theta)) / (1.0 - zeta2theta / zetan);
@@ -93,9 +100,8 @@ impl Zipfian {
         }
     }
 
+    /// ζ(n, θ) = Σ_{i=1..n} i^-θ, summed directly in index order.
     fn zeta(n: u64, theta: f64) -> f64 {
-        // Direct summation is fine here: experiments cap item counts in the
-        // tens of millions and construction happens once per run.
         let mut sum = 0.0;
         for i in 1..=n {
             sum += 1.0 / (i as f64).powf(theta);
@@ -114,6 +120,25 @@ impl Zipfian {
     pub fn hot_mass(&self, k: u64) -> f64 {
         Self::zeta(k.min(self.items), self.theta) / self.zetan
     }
+}
+
+/// [`Zipfian::zeta`] memoized process-wide by `(n, θ bits)`.
+///
+/// Every YCSB generator over the same key count shares one O(n)
+/// summation instead of re-summing it per run. The memo holds the
+/// direct sum itself, so a memoized chooser is bit-identical to one
+/// built from a fresh sum. Entries are 24 bytes and the key counts a
+/// study uses are few, so the map is never pruned.
+fn zeta_memoized(n: u64, theta: f64) -> f64 {
+    static MEMO: OnceLock<Mutex<HashMap<(u64, u64), f64>>> = OnceLock::new();
+    // Every update is one complete insert, so even a poisoned map is valid.
+    let mut memo = MEMO
+        .get_or_init(Default::default)
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    *memo
+        .entry((n, theta.to_bits()))
+        .or_insert_with(|| Zipfian::zeta(n, theta))
 }
 
 impl KeyChooser for Zipfian {
@@ -382,6 +407,39 @@ mod tests {
         for _ in 0..1000 {
             assert!(l.next_key(&mut r) <= 10);
         }
+    }
+
+    fn assert_bit_identical(a: &Zipfian, b: &Zipfian) {
+        assert_eq!(a.items, b.items);
+        for (x, y) in [
+            (a.theta, b.theta),
+            (a.alpha, b.alpha),
+            (a.zetan, b.zetan),
+            (a.eta, b.eta),
+            (a.zeta2theta, b.zeta2theta),
+        ] {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    #[test]
+    fn memoized_zipfian_is_bit_identical_to_the_direct_sum() {
+        // Two key counts no other test uses, in alternating order: the
+        // first two builds fill the memo, the last two read it back.
+        let theta = YCSB_ZIPFIAN_CONSTANT;
+        let direct = |n| Zipfian::with_zetan(n, theta, Zipfian::zeta(n, theta));
+        let (a, b) = (12_345, 67_890);
+        for n in [a, b, a, b] {
+            assert_bit_identical(&Zipfian::new(n), &direct(n));
+        }
+        // Inserts extend the chooser's own normalizer, never the memo:
+        // the next chooser over `a` starts from the plain ζ(a) again.
+        let mut latest = Latest::new(a);
+        for _ in 0..100 {
+            latest.advance();
+        }
+        assert_ne!(latest.zipf.zetan.to_bits(), direct(a).zetan.to_bits());
+        assert_bit_identical(&Latest::new(a).zipf, &direct(a));
     }
 
     #[test]

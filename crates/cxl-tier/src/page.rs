@@ -39,8 +39,6 @@ pub(crate) struct PageMeta {
     pub location: Location,
     /// Page has been freed (touching or re-freeing it is a bug).
     pub freed: bool,
-    /// Last touch time (any access).
-    pub last_access: SimTime,
     /// Time of the most recent hint fault on this page, used by the MRU
     /// promotion check; `SimTime::MAX` when never faulted.
     pub last_hint_fault: SimTime,
@@ -59,7 +57,6 @@ impl PageMeta {
         Self {
             location,
             freed: false,
-            last_access: SimTime::ZERO,
             last_hint_fault: SimTime::MAX,
             hint_installed: false,
             referenced: false,
