@@ -132,7 +132,8 @@ impl TieredAllocator {
     }
 
     /// Mutable access to the tier manager (ticks, utilization feedback).
-    pub fn tier_mut(&mut self) -> &mut TierManager {
+    #[cfg(test)]
+    fn tier_mut(&mut self) -> &mut TierManager {
         &mut self.tm
     }
 

@@ -52,22 +52,6 @@ impl CapacityConfig {
         }
     }
 
-    /// True for configurations that spill to SSD.
-    pub fn uses_ssd(self) -> bool {
-        matches!(self, CapacityConfig::MmemSsd02 | CapacityConfig::MmemSsd04)
-    }
-
-    /// True for configurations that place data on CXL.
-    pub fn uses_cxl(self) -> bool {
-        matches!(
-            self,
-            CapacityConfig::Interleave31
-                | CapacityConfig::Interleave11
-                | CapacityConfig::Interleave13
-                | CapacityConfig::HotPromote
-        )
-    }
-
     /// Builds the tier-manager configuration for a working set of
     /// `dataset_bytes` on `topo`, returning `(config, flash)` where
     /// `flash` enables KeyDB-FLASH SSD caching.
@@ -231,14 +215,6 @@ mod tests {
             .map(|&(_, b)| b)
             .unwrap();
         assert_eq!(dram_cap, (1u64 << 30) / 2);
-    }
-
-    #[test]
-    fn classification_helpers() {
-        assert!(CapacityConfig::MmemSsd02.uses_ssd());
-        assert!(!CapacityConfig::Mmem.uses_ssd());
-        assert!(CapacityConfig::HotPromote.uses_cxl());
-        assert!(!CapacityConfig::MmemSsd04.uses_cxl());
     }
 
     #[test]

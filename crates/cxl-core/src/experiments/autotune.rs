@@ -36,9 +36,7 @@
 
 use serde::Serialize;
 
-use cxl_ctl::{
-    run_on_engine, Controller, ControllerConfig, CtlError, KnobSpec, Plant, SignalPlane,
-};
+use cxl_ctl::{run_on_engine, Controller, ControllerConfig, CtlError, KnobSpec, Plant};
 use cxl_fault::FaultKind;
 use cxl_kv::{KvConfig, KvStore};
 use cxl_llm::{LlmCluster, LlmConfig, LlmPlacement};
@@ -557,8 +555,6 @@ fn kv_controller_config() -> ControllerConfig {
         crash_tolerance: 0.85,
         min_action_gap_ticks: 1,
         shift_tolerance: 0.12,
-        ewma_alpha: 0.4,
-        history: 64,
         // A lease grow's earnings arrive over a Zipf cache-warm-up
         // horizon (~50 ticks) no affordable settle window covers; the
         // extension rule bridges it, one window at a time, for as long
@@ -609,7 +605,6 @@ fn run_kv_adaptive(params: AutotuneParams, seed: u64) -> KvCell {
     let run = run_on_engine(
         ctl,
         plant,
-        SignalPlane::new(128, 0.4),
         period,
         SimTime::from_ms(params.kv_ticks()),
         |p: &mut KvPlant, _now| p.tick(),
@@ -726,8 +721,6 @@ fn llm_controller_config() -> ControllerConfig {
         crash_tolerance: 0.6,
         min_action_gap_ticks: 1,
         shift_tolerance: 0.05,
-        ewma_alpha: 0.5,
-        history: 64,
         max_probe_extensions: 0,
     }
 }
@@ -774,7 +767,6 @@ fn run_llm_adaptive(params: AutotuneParams) -> LlmCell {
     let run = run_on_engine(
         ctl,
         plant,
-        SignalPlane::new(128, 0.5),
         SimTime::from_ms(1),
         SimTime::from_ms(llm_ticks(&params)),
         |p: &mut LlmPlant, _now| p.tick(),

@@ -6,8 +6,8 @@
 //! lease's latency is the looked-up fabric path (one ToR hop
 //! intra-rack, ToR + cable + spine + cable + ToR across racks), a
 //! cluster scheduler places a heterogeneous KV/Spark/LLM mix onto
-//! hosts, and per-rack lend controllers (`cxl-ctl` EWMA series)
-//! coordinate cross-rack leases under a global capacity budget. The
+//! hosts, and per-rack lend controllers (a [`cxl_stats::Ewma`] of
+//! local demand each) coordinate cross-rack leases under a global capacity budget. The
 //! world model is built host-by-host on the runner — [`build_host`] is
 //! a pure function of `(config, spec)`, so any `--jobs` count
 //! assembles a bit-identical fleet.

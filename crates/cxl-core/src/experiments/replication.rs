@@ -25,7 +25,8 @@ pub struct Replicated {
 
 impl Replicated {
     /// Coefficient of variation (std/mean), 0 when the mean is 0.
-    pub fn cv(&self) -> f64 {
+    #[cfg(test)]
+    fn cv(&self) -> f64 {
         if self.mean == 0.0 {
             0.0
         } else {

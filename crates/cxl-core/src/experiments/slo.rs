@@ -13,7 +13,6 @@ use cxl_topology::{SncMode, Topology};
 use cxl_ycsb::Workload;
 
 use crate::config::CapacityConfig;
-use crate::experiments::error::ExperimentError;
 use crate::runner::Runner;
 
 /// Sizing of an SLO study.
@@ -73,21 +72,6 @@ pub struct SloRow {
     pub max_rate: f64,
 }
 
-/// Looks up the SLO capacity (`max_rate`) of the row labelled `label`.
-///
-/// Returns [`ExperimentError::UnknownConfig`] — naming the labels that
-/// do exist — when no row matches, instead of panicking inside a
-/// comparison chain.
-pub fn max_rate_of(rows: &[SloRow], label: &str) -> Result<f64, ExperimentError> {
-    rows.iter()
-        .find(|r| r.config == label)
-        .map(|r| r.max_rate)
-        .ok_or_else(|| ExperimentError::UnknownConfig {
-            label: label.to_string(),
-            available: rows.iter().map(|r| r.config.to_string()).collect(),
-        })
-}
-
 /// Probes one placement across the configured rates.
 pub fn probe(config: CapacityConfig, params: &SloParams) -> SloRow {
     let topo = Topology::paper_testbed(SncMode::Disabled);
@@ -140,6 +124,20 @@ pub fn run_with(runner: &Runner, configs: &[CapacityConfig], params: &SloParams)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::error::ExperimentError;
+
+    /// Looks up the SLO capacity (`max_rate`) of the row labelled
+    /// `label`; an unknown label is [`ExperimentError::UnknownConfig`],
+    /// naming the labels that do exist.
+    fn max_rate_of(rows: &[SloRow], label: &str) -> Result<f64, ExperimentError> {
+        rows.iter()
+            .find(|r| r.config == label)
+            .map(|r| r.max_rate)
+            .ok_or_else(|| ExperimentError::UnknownConfig {
+                label: label.to_string(),
+                available: rows.iter().map(|r| r.config.to_string()).collect(),
+            })
+    }
 
     #[test]
     fn p99_grows_with_offered_rate() {

@@ -92,23 +92,6 @@ impl FleetMixture {
             })
             .collect()
     }
-
-    /// The class with the largest absolute contribution to fleet savings
-    /// (weight × saving).
-    pub fn biggest_contributor(&self) -> &AppClass {
-        let score = |c: &AppClass| c.fleet_fraction * CostModel::new(c.params).tco_saving();
-        // `try_new` rejects empty class lists, so the fold has a seed.
-        let (mut best, rest) = match self.classes.split_first() {
-            Some(parts) => parts,
-            None => unreachable!("FleetMixture::try_new guarantees at least one class"),
-        };
-        for c in rest {
-            if score(c) >= score(best) {
-                best = c;
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -148,7 +131,7 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_and_contributor() {
+    fn breakdown_lists_every_class() {
         let mix = FleetMixture::new(vec![
             class("kv", 0.7, 10.0, 9.0),
             class("spark", 0.3, 10.0, 3.0),
@@ -156,8 +139,6 @@ mod tests {
         let b = mix.breakdown();
         assert_eq!(b.len(), 2);
         assert_eq!(b[0].0, "kv");
-        // kv: higher weight and better Rc → bigger contributor.
-        assert_eq!(mix.biggest_contributor().name, "kv");
     }
 
     #[test]

@@ -104,13 +104,6 @@ impl CostModel {
         1.0 - self.server_ratio() * self.params.rt
     }
 
-    /// Extended model (§6): adds per-server fixed CXL infrastructure
-    /// cost (controllers, switches, PCBs, cables) expressed as a
-    /// fraction of a baseline server's TCO.
-    pub fn tco_saving_with_fixed_cost(&self, fixed_fraction: f64) -> f64 {
-        1.0 - self.server_ratio() * (self.params.rt + fixed_fraction)
-    }
-
     /// Derives `R_d`/`R_c` from raw measured throughputs, normalizing
     /// to the SSD baseline.
     ///
@@ -213,8 +206,6 @@ mod tests {
             ..Default::default()
         });
         assert!(cheap.tco_saving() > pricey.tco_saving());
-        // Fixed infrastructure costs reduce it further.
-        assert!(cheap.tco_saving_with_fixed_cost(0.05) < cheap.tco_saving());
     }
 
     #[test]

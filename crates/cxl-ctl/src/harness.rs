@@ -11,7 +11,6 @@ use serde::Serialize;
 
 use crate::knob::Plant;
 use crate::policy::{Controller, TickOutcome};
-use crate::signal::SignalPlane;
 
 /// One row of the control-loop trace.
 #[derive(Debug, Clone, Serialize)]
@@ -28,8 +27,8 @@ pub struct TraceEntry {
     pub settings: Vec<usize>,
 }
 
-/// The engine state for a control run: controller, plant, signals, and
-/// the per-tick trace. Recovered whole via [`Engine::into_state`] when
+/// The engine state for a control run: controller, plant, and the
+/// per-tick trace. Recovered whole via [`Engine::into_state`] when
 /// the run ends.
 #[derive(Debug)]
 pub struct ControlLoop<P> {
@@ -37,8 +36,6 @@ pub struct ControlLoop<P> {
     pub controller: Controller,
     /// The system under control.
     pub plant: P,
-    /// The signal plane (sampled once per tick).
-    pub signals: SignalPlane,
     /// One entry per tick, in firing order.
     pub trace: Vec<TraceEntry>,
 }
@@ -47,9 +44,8 @@ pub struct ControlLoop<P> {
 ///
 /// Every `period` of virtual time, `step` advances the plant across the
 /// interval ending at the current tick and returns the objective
-/// measured over it (higher is better); the signal plane then samples
-/// the ambient `cxl-obs` registry, and the controller decides. The loop
-/// stops after the last tick at or before `until`.
+/// measured over it (higher is better), and the controller decides.
+/// The loop stops after the last tick at or before `until`.
 ///
 /// `setup` runs once before the clock starts and may schedule extra
 /// events on the engine — fault injections, phase switches — that
@@ -58,7 +54,6 @@ pub struct ControlLoop<P> {
 pub fn run_on_engine<P, F>(
     controller: Controller,
     plant: P,
-    signals: SignalPlane,
     period: SimTime,
     until: SimTime,
     mut step: F,
@@ -72,7 +67,6 @@ where
     let mut engine = Engine::new(ControlLoop {
         controller,
         plant,
-        signals,
         trace: Vec::new(),
     });
     setup(&mut engine);
@@ -80,8 +74,6 @@ where
         let now = e.now();
         let s = e.state_mut();
         let objective = step(&mut s.plant, now);
-        s.signals.observe("objective", objective);
-        s.signals.sample_ambient();
         let outcome = s.controller.tick(objective, &mut s.plant);
         s.trace.push(TraceEntry {
             tick: s.controller.ticks(),
@@ -125,8 +117,6 @@ mod tests {
             crash_tolerance: 0.9,
             min_action_gap_ticks: 1,
             shift_tolerance: 0.3,
-            ewma_alpha: 0.5,
-            history: 32,
             max_probe_extensions: 0,
         }
     }
@@ -144,7 +134,6 @@ mod tests {
         run_on_engine(
             ctl,
             plant,
-            SignalPlane::new(64, 0.5),
             SimTime::from_ms(1),
             SimTime::from_ms(until_ms),
             |p: &mut Ramp, _now| {
@@ -186,11 +175,6 @@ mod tests {
         }
         assert!(run.controller.commits() >= 3);
         assert_eq!(run.controller.guardrails().violations, 0);
-        // The signal plane recorded the objective each tick.
-        assert_eq!(
-            run.signals.series("objective").unwrap().total_pushes(),
-            run.trace.len() as u64
-        );
     }
 
     #[test]
@@ -221,7 +205,6 @@ mod tests {
         let run = run_on_engine(
             ctl,
             plant,
-            SignalPlane::new(64, 0.5),
             SimTime::from_ms(1),
             SimTime::from_ms(40),
             |p: &mut Ramp, _| 10.0 * (1 + p.setting) as f64 * if p.disturbed { 0.5 } else { 1.0 },

@@ -7,11 +7,8 @@
 //! periodic ticks on the `cxl-sim` engine and re-tunes the system it
 //! rides on.
 //!
-//! Three planes:
+//! Two planes:
 //!
-//! * **Signal plane** ([`SignalPlane`], [`Series`]) — samples the
-//!   `cxl-obs` registry non-destructively ([`cxl_obs::Snapshot`]
-//!   deltas) into bounded, EWMA-smoothed time series.
 //! * **Actuator plane** ([`KnobSpec`], [`Plant`]) — typed, ordered
 //!   ladders of settings (N:M interleave, promotion-rate retunes, pool
 //!   lease sizes) applied transactionally through a plant that may
@@ -24,6 +21,11 @@
 //!   post-actuation invariant check whose failures feed the CI-gated
 //!   `ctl/guardrail_violations` counter.
 //!
+//! The controller's only input is the objective the caller measures
+//! each tick; it keeps the last measurement window of it and nothing
+//! else. Its counters go to the `cxl-obs` registry like every other
+//! layer's.
+//!
 //! [`run_on_engine`] mounts the loop on an [`cxl_sim::Engine`] so
 //! control ticks interleave deterministically with workload events and
 //! fault injections — the whole closed loop is bit-identical across
@@ -35,10 +37,8 @@ pub mod error;
 pub mod harness;
 pub mod knob;
 pub mod policy;
-pub mod signal;
 
 pub use error::CtlError;
 pub use harness::{run_on_engine, ControlLoop, TraceEntry};
 pub use knob::{KnobSpec, Plant};
 pub use policy::{Controller, ControllerConfig, Guardrails, TickOutcome};
-pub use signal::{Series, SignalPlane};

@@ -21,11 +21,12 @@
 //! which point every blocked direction reopens; commits and
 //! [`Controller::notify_disturbance`] reopen them too.
 
+use std::collections::VecDeque;
+
 use serde::Serialize;
 
 use crate::error::CtlError;
 use crate::knob::{KnobSpec, Plant};
-use crate::signal::Series;
 
 /// Tuning of the hill climber and its guardrails.
 #[derive(Debug, Clone, Serialize)]
@@ -54,10 +55,6 @@ pub struct ControllerConfig {
     /// the objective's tick-to-tick noise and below the smallest phase
     /// change worth reacting to.
     pub shift_tolerance: f64,
-    /// EWMA weight of the objective series.
-    pub ewma_alpha: f64,
-    /// Raw points retained in the objective series.
-    pub history: usize,
     /// Extra measurement windows granted to a probe whose window mean
     /// fails the hysteresis bar while the window itself still shows the
     /// payoff transient arriving — some sample clears the bar, or the
@@ -79,8 +76,6 @@ impl Default for ControllerConfig {
             crash_tolerance: 0.5,
             min_action_gap_ticks: 2,
             shift_tolerance: 0.1,
-            ewma_alpha: 0.3,
-            history: 64,
             max_probe_extensions: 1,
         }
     }
@@ -110,20 +105,6 @@ impl ControllerConfig {
             return Err(CtlError::InvalidConfig(format!(
                 "shift_tolerance must be finite and positive, got {}",
                 self.shift_tolerance
-            )));
-        }
-        if self.history < self.measure_ticks as usize {
-            return Err(CtlError::InvalidConfig(format!(
-                "history ({}) must hold at least one measure window ({})",
-                self.history, self.measure_ticks
-            )));
-        }
-        // Series::new enforces the alpha bounds; replicate as a typed
-        // error instead of a panic.
-        if !(self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0) {
-            return Err(CtlError::InvalidConfig(format!(
-                "ewma_alpha must lie in (0, 1], got {}",
-                self.ewma_alpha
             )));
         }
         Ok(())
@@ -310,7 +291,9 @@ pub struct Controller {
     blocked: Vec<[bool; 2]>,
     cooldown_until: Vec<u64>,
     next_knob: usize,
-    objective: Series,
+    /// The last `measure_ticks` objectives, oldest first: the baseline
+    /// a probe is judged against and the shift detector's reference.
+    window: VecDeque<f64>,
     guardrails: Guardrails,
     mode: Mode,
     tick_index: u64,
@@ -366,7 +349,7 @@ impl Controller {
             }
         }
         let n = knobs.len();
-        let objective = Series::new(cfg.history, cfg.ewma_alpha);
+        let window = VecDeque::with_capacity(cfg.measure_ticks as usize);
         let warmup = cfg.warmup_ticks;
         Ok(Self {
             cfg,
@@ -376,7 +359,7 @@ impl Controller {
             blocked: vec![[false; 2]; n],
             cooldown_until: vec![0; n],
             next_knob: 0,
-            objective,
+            window,
             guardrails: Guardrails::default(),
             mode: Mode::Warmup { remaining: warmup },
             tick_index: 0,
@@ -395,7 +378,10 @@ impl Controller {
     pub fn tick<P: Plant>(&mut self, objective: f64, plant: &mut P) -> TickOutcome {
         self.tick_index += 1;
         self.detect_shift(objective);
-        self.objective.push(objective);
+        if self.window.len() == self.cfg.measure_ticks as usize {
+            self.window.pop_front();
+        }
+        self.window.push_back(objective);
         let outcome = match std::mem::replace(&mut self.mode, Mode::Steady) {
             Mode::Warmup { remaining } => {
                 if remaining > 1 {
@@ -430,7 +416,7 @@ impl Controller {
         if !steady {
             return;
         }
-        let Some(baseline) = self.objective.mean_last(self.cfg.measure_ticks as usize) else {
+        let Some(baseline) = self.baseline() else {
             return;
         };
         if (objective - baseline).abs() > self.cfg.shift_tolerance * baseline.abs().max(1e-9) {
@@ -460,7 +446,7 @@ impl Controller {
             return TickOutcome::Steady;
         }
         // A baseline needs a full measurement window of history.
-        if self.objective.len() < self.cfg.measure_ticks as usize {
+        if self.window.len() < self.cfg.measure_ticks as usize {
             return TickOutcome::Steady;
         }
         if !self
@@ -475,10 +461,7 @@ impl Controller {
             return TickOutcome::Steady;
         };
         let prev_setting = self.current[knob];
-        let baseline = self
-            .objective
-            .mean_last(self.cfg.measure_ticks as usize)
-            .expect("length checked above");
+        let baseline = self.baseline().expect("length checked above");
         match self
             .guardrails
             .apply(plant, knob, probe_setting, self.tick_index, true)
@@ -702,7 +685,7 @@ impl Controller {
     /// Tells the controller the plant changed beneath it (a fault, a
     /// topology change): any in-flight probe is abandoned **keeping the
     /// current plant state** (the pre-fault baseline is meaningless),
-    /// cooldowns and the objective history are cleared, and a fresh
+    /// cooldowns and the objective window are cleared, and a fresh
     /// warmup begins so re-convergence starts from clean measurements.
     pub fn notify_disturbance(&mut self) {
         if let Mode::Probing(probe) = &self.mode {
@@ -723,7 +706,7 @@ impl Controller {
         }
         self.rebaseline = 0;
         self.shift_quiet = 0;
-        self.objective = Series::new(self.cfg.history, self.cfg.ewma_alpha);
+        self.window.clear();
         cxl_obs::counter_add("ctl/disturbances", 1);
     }
 
@@ -745,11 +728,6 @@ impl Controller {
     /// The knob table.
     pub fn knobs(&self) -> &[KnobSpec] {
         &self.knobs
-    }
-
-    /// The objective series (for reports).
-    pub fn objective(&self) -> &Series {
-        &self.objective
     }
 
     /// Guardrail counters.
@@ -788,8 +766,19 @@ impl Controller {
         self.tick_index
     }
 
+    /// Mean of the window, or `None` before the first tick. Summed
+    /// newest-first: an oldest-first sum can differ in the last bit, and
+    /// the hysteresis and shift tests compare against this value.
+    fn baseline(&self) -> Option<f64> {
+        if self.window.is_empty() {
+            return None;
+        }
+        Some(self.window.iter().rev().sum::<f64>() / self.window.len() as f64)
+    }
+
     /// True while a probe is in flight.
-    pub fn is_probing(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_probing(&self) -> bool {
         matches!(self.mode, Mode::Probing(_))
     }
 }
@@ -861,8 +850,6 @@ mod tests {
             crash_tolerance: 0.5,
             min_action_gap_ticks: 1,
             shift_tolerance: 0.25,
-            ewma_alpha: 0.5,
-            history: 32,
             max_probe_extensions: 0,
         }
     }
@@ -1149,7 +1136,7 @@ mod tests {
         assert_eq!(ctl.commits(), 1);
         ctl.notify_disturbance();
         assert!(!ctl.is_probing());
-        assert!(ctl.objective().is_empty(), "history cleared");
+        assert_eq!(ctl.baseline(), None, "window cleared");
         // Re-converges after the disturbance despite the long cooldown
         // that would otherwise still be in force.
         plant.best = vec![0];
@@ -1157,6 +1144,30 @@ mod tests {
         settle(&mut ctl, &mut plant);
         assert_eq!(ctl.current_settings(), &[0], "re-converged");
         assert_eq!(ctl.guardrails().violations, 0);
+    }
+
+    #[test]
+    fn baseline_sums_the_window_newest_first() {
+        let mut plant = MockPlant::new(vec![0], vec![0]);
+        let cfg = ControllerConfig {
+            warmup_ticks: 8,
+            measure_ticks: 4,
+            ..fast_cfg()
+        };
+        let mut ctl = Controller::new(cfg, vec![knob("a", 2, 0)], vec![0]).unwrap();
+        assert_eq!(ctl.baseline(), None);
+        for v in [0.1, 0.2, 0.3, 0.4] {
+            ctl.tick(v, &mut plant);
+        }
+        // ((0.4 + 0.3) + 0.2) + 0.1 rounds below 1; the oldest-first sum
+        // is exactly 1, a baseline of 0.25.
+        assert_eq!(
+            ctl.baseline().map(f64::to_bits),
+            Some(0.24999999999999997f64.to_bits())
+        );
+        ctl.tick(0.5, &mut plant);
+        assert_eq!(ctl.window.len(), 4, "the oldest point left the window");
+        assert_eq!(ctl.baseline(), Some((0.5 + 0.4 + 0.3 + 0.2) / 4.0));
     }
 
     #[test]

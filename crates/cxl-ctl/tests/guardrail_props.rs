@@ -82,8 +82,6 @@ fn make_scenario(
         crash_tolerance: 0.5,
         min_action_gap_ticks: gap,
         shift_tolerance: 0.5,
-        ewma_alpha: 0.5,
-        history: 64,
         max_probe_extensions: 1,
     };
     (slabs, capacity, cfg)

@@ -65,7 +65,7 @@
 mod registry;
 mod span;
 
-pub use registry::{Class, MetricValue, Registry, Snapshot};
+pub use registry::{Class, Registry};
 pub use span::Span;
 
 use std::cell::RefCell;
@@ -190,22 +190,6 @@ pub fn span(name: &str) -> Span {
     Span::start(name)
 }
 
-/// Non-destructive snapshot of the registry a recording call would
-/// reach (innermost scope, else the enabled global). Returns
-/// [`Snapshot::empty`] when nothing is [`active`], so periodic samplers
-/// can run unconditionally.
-pub fn snapshot() -> Snapshot {
-    SCOPED.with(|s| {
-        if let Some(reg) = s.borrow().last() {
-            reg.snapshot()
-        } else if enabled() {
-            global().snapshot()
-        } else {
-            Snapshot::empty()
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,20 +257,6 @@ mod tests {
         // Wall metrics stay out of the deterministic export.
         assert!(!reg.export_sim_json().contains("test/span_ns"));
         assert!(reg.export_json().contains("test/span_ns"));
-    }
-
-    #[test]
-    fn free_snapshot_follows_dispatch() {
-        let _l = GLOBAL_LOCK.lock().unwrap();
-        disable();
-        assert!(snapshot().is_empty(), "inactive → empty snapshot");
-        let reg = Arc::new(Registry::new());
-        let _g = scope(reg.clone());
-        counter_add("test/free_snapshot", 4);
-        let snap = snapshot();
-        assert_eq!(snap.counter("test/free_snapshot"), Some(4));
-        // Sampling did not perturb the live registry.
-        assert_eq!(reg.counter("test/free_snapshot"), Some(4));
     }
 
     #[test]

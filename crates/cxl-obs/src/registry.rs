@@ -22,9 +22,9 @@ pub enum Class {
     Wall,
 }
 
-/// Current value of one metric (see [`Registry::metrics`]).
+/// Current value of one metric.
 #[derive(Debug, Clone)]
-pub enum MetricValue {
+enum MetricValue {
     /// Monotonically increasing count.
     Counter(u64),
     /// High-water mark.
@@ -159,27 +159,6 @@ impl Registry {
         );
     }
 
-    /// Merges `samples` into the histogram `name` (worker-side
-    /// aggregation: bucket counts add, so merge order cannot matter).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` already holds a non-histogram metric.
-    pub fn record_histogram(&self, class: Class, name: &str, samples: &Histogram) {
-        self.update(
-            class,
-            name,
-            |val| match val {
-                MetricValue::Histogram(h) => h.merge(samples),
-                other => panic!(
-                    "metric {name:?} is a {}, not a histogram",
-                    other.type_name()
-                ),
-            },
-            || MetricValue::Histogram(Histogram::new()),
-        );
-    }
-
     /// Value of the counter `name` (`None` when absent or another shape).
     pub fn counter(&self, name: &str) -> Option<u64> {
         match self
@@ -244,35 +223,6 @@ impl Registry {
         }
     }
 
-    /// Snapshot of every metric as `(name, class, value)`, sorted by name.
-    pub fn metrics(&self) -> Vec<(String, Class, MetricValue)> {
-        self.metrics
-            .lock()
-            .expect("metrics registry poisoned")
-            .iter()
-            .map(|(k, m)| (k.clone(), m.class, m.value.clone()))
-            .collect()
-    }
-
-    /// Non-destructive point-in-time copy of the registry.
-    ///
-    /// The registry keeps accumulating afterwards — a snapshot never
-    /// drains or resets anything, so a controller can sample mid-run
-    /// without perturbing the final [`Registry::export_json`] payload.
-    /// Pair two snapshots with [`Snapshot::counter_delta`] /
-    /// [`Snapshot::histogram_count_delta`] to read per-interval rates.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            metrics: self
-                .metrics
-                .lock()
-                .expect("metrics registry poisoned")
-                .iter()
-                .map(|(k, m)| (k.clone(), m.value.clone()))
-                .collect(),
-        }
-    }
-
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
         self.metrics
@@ -323,96 +273,6 @@ impl Registry {
     /// the byte-comparable payload for `--jobs` cross-checks.
     pub fn export_sim_json(&self) -> String {
         serde_json::to_string_pretty(&self.section(Class::Sim)).expect("metrics serialize")
-    }
-}
-
-/// Immutable point-in-time copy of a [`Registry`] (see
-/// [`Registry::snapshot`]).
-///
-/// Accessors mirror the registry's (`counter`, `max`, `gauge`,
-/// `histogram`); the `*_delta` methods subtract an **earlier** snapshot
-/// to turn cumulative metrics into per-interval values — the read path
-/// a periodic controller needs, since draining the registry mid-run
-/// would corrupt the end-of-run export.
-#[derive(Debug, Clone, Default)]
-pub struct Snapshot {
-    metrics: BTreeMap<String, MetricValue>,
-}
-
-impl Snapshot {
-    /// An empty snapshot (what sampling an inactive registry yields).
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
-    /// Value of the counter `name` at snapshot time.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        match self.metrics.get(name) {
-            Some(MetricValue::Counter(c)) => Some(*c),
-            _ => None,
-        }
-    }
-
-    /// Value of the high-water mark `name` at snapshot time.
-    pub fn max(&self, name: &str) -> Option<u64> {
-        match self.metrics.get(name) {
-            Some(MetricValue::Max(m)) => Some(*m),
-            _ => None,
-        }
-    }
-
-    /// Value of the gauge `name` at snapshot time.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        match self.metrics.get(name) {
-            Some(MetricValue::Gauge(g)) => Some(*g),
-            _ => None,
-        }
-    }
-
-    /// Clone of the histogram `name` at snapshot time.
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        match self.metrics.get(name) {
-            Some(MetricValue::Histogram(h)) => Some(h.clone()),
-            _ => None,
-        }
-    }
-
-    /// Sample count of the histogram `name` at snapshot time.
-    pub fn histogram_count(&self, name: &str) -> Option<u64> {
-        match self.metrics.get(name) {
-            Some(MetricValue::Histogram(h)) => Some(h.count()),
-            _ => None,
-        }
-    }
-
-    /// Counter growth since `earlier`: `self[name] - earlier[name]`.
-    ///
-    /// A metric absent from either side reads as 0, so the first
-    /// interval after a counter appears reports its full value.
-    /// Saturates at 0 (counters are monotonic; a negative delta means
-    /// the snapshots were passed in the wrong order).
-    pub fn counter_delta(&self, earlier: &Snapshot, name: &str) -> u64 {
-        self.counter(name)
-            .unwrap_or(0)
-            .saturating_sub(earlier.counter(name).unwrap_or(0))
-    }
-
-    /// Histogram sample-count growth since `earlier` (same absent-as-0
-    /// and saturation rules as [`Snapshot::counter_delta`]).
-    pub fn histogram_count_delta(&self, earlier: &Snapshot, name: &str) -> u64 {
-        self.histogram_count(name)
-            .unwrap_or(0)
-            .saturating_sub(earlier.histogram_count(name).unwrap_or(0))
-    }
-
-    /// Number of metrics captured.
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    /// True when the snapshot captured no metrics.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
     }
 }
 
@@ -479,13 +339,11 @@ mod tests {
     }
 
     #[test]
-    fn histograms_record_and_merge() {
+    fn histograms_record() {
         let r = Registry::new();
         r.record(Class::Sim, "h", 100);
         r.record(Class::Sim, "h", 300);
-        let mut extra = Histogram::new();
-        extra.record(200);
-        r.record_histogram(Class::Sim, "h", &extra);
+        r.record(Class::Sim, "h", 200);
         let h = r.histogram("h").unwrap();
         assert_eq!(h.count(), 3);
         assert_eq!(h.min(), 100);
@@ -535,82 +393,5 @@ mod tests {
         r.reset();
         assert!(r.is_empty());
         assert_eq!(r.len(), 0);
-    }
-
-    #[test]
-    fn export_after_snapshot_is_unchanged() {
-        let r = Registry::new();
-        r.counter_add(Class::Sim, "c", 3);
-        r.counter_max(Class::Sim, "m", 9);
-        r.gauge_set(Class::Sim, "g", 0.5);
-        r.record(Class::Wall, "h", 120);
-        let before = r.export_json();
-        let snap = r.snapshot();
-        assert_eq!(snap.len(), 4);
-        assert_eq!(
-            r.export_json(),
-            before,
-            "snapshot() must not drain or mutate the registry"
-        );
-        // The registry keeps accumulating after the snapshot, which
-        // stays frozen at its capture point.
-        r.counter_add(Class::Sim, "c", 1);
-        assert_eq!(snap.counter("c"), Some(3));
-        assert_eq!(r.counter("c"), Some(4));
-    }
-
-    #[test]
-    fn snapshot_reads_every_shape() {
-        let r = Registry::new();
-        r.counter_add(Class::Sim, "c", 3);
-        r.counter_max(Class::Sim, "m", 9);
-        r.gauge_set(Class::Sim, "g", 0.5);
-        r.record(Class::Sim, "h", 120);
-        r.record(Class::Sim, "h", 360);
-        let snap = r.snapshot();
-        assert_eq!(snap.counter("c"), Some(3));
-        assert_eq!(snap.max("m"), Some(9));
-        assert_eq!(snap.gauge("g"), Some(0.5));
-        assert_eq!(snap.histogram_count("h"), Some(2));
-        assert_eq!(snap.histogram("h").unwrap().max(), 360);
-        // Shape-mismatched reads yield None, like the registry's.
-        assert_eq!(snap.counter("g"), None);
-        assert_eq!(snap.gauge("missing"), None);
-    }
-
-    #[test]
-    fn counter_deltas_between_snapshots() {
-        let r = Registry::new();
-        r.counter_add(Class::Sim, "ops", 10);
-        let t0 = r.snapshot();
-        r.counter_add(Class::Sim, "ops", 7);
-        r.record(Class::Sim, "lat", 100);
-        let t1 = r.snapshot();
-        assert_eq!(t1.counter_delta(&t0, "ops"), 7);
-        // Metric absent at t0: full value counts as the first interval.
-        assert_eq!(t1.histogram_count_delta(&t0, "lat"), 1);
-        // Absent everywhere reads as zero, and reversed-order deltas
-        // saturate instead of wrapping.
-        assert_eq!(t1.counter_delta(&t0, "nope"), 0);
-        assert_eq!(t0.counter_delta(&t1, "ops"), 0);
-    }
-
-    #[test]
-    fn empty_snapshot_reads_zeroes() {
-        let snap = Snapshot::empty();
-        assert!(snap.is_empty());
-        assert_eq!(snap.counter("x"), None);
-        assert_eq!(snap.counter_delta(&Snapshot::empty(), "x"), 0);
-    }
-
-    #[test]
-    fn snapshot_lists_all_metrics() {
-        let r = Registry::new();
-        r.counter_add(Class::Sim, "one", 1);
-        r.gauge_set(Class::Wall, "two", 2.0);
-        let all = r.metrics();
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].0, "one");
-        assert_eq!(all[0].1, Class::Sim);
     }
 }

@@ -170,7 +170,8 @@ impl PoolAddressSpace {
     }
 
     /// Number of extents backing `lease` (1 for an unfragmented lease).
-    pub fn lease_extents(&self, lease: LeaseId) -> usize {
+    #[cfg(test)]
+    fn lease_extents(&self, lease: LeaseId) -> usize {
         self.allocs.iter().filter(|(_, l)| *l == lease).count()
     }
 

@@ -118,7 +118,8 @@ impl DemandProcess {
     }
 
     /// Number of demand segments (bursts appear as two edges each).
-    pub fn segment_count(&self) -> usize {
+    #[cfg(test)]
+    fn segment_count(&self) -> usize {
         self.segments.len()
     }
 

@@ -15,8 +15,8 @@
 //!   heterogeneous workload mix ([`WorkloadClass`]: KV caches, Spark
 //!   batch, LLM serving) onto hosts, greedily balancing expected peak
 //!   demand across racks.
-//! - A **per-rack lend controller** (one [`cxl_ctl::Series`] EWMA per
-//!   rack) watches local demand and caps how many slabs the rack's
+//! - A **per-rack lend controller** (one [`cxl_stats::Ewma`] per rack)
+//!   watches local demand and caps how many slabs the rack's
 //!   [`PoolManager`] may lend to foreign racks, reserving headroom for
 //!   its own hosts.
 //! - A **global capacity budget** caps total outstanding leased slabs
@@ -31,12 +31,12 @@
 //! ([`build_host`]) so a caller can shard the heavy work across
 //! workers and still get a bit-identical world.
 
-use cxl_ctl::Series;
 use cxl_fault::FaultKind;
 use cxl_obs as obs;
 use cxl_perf::{AccessMix, MemSystem};
 use cxl_sim::{Engine, SimTime};
 use cxl_stats::rng::stream_rng;
+use cxl_stats::Ewma;
 use cxl_tier::{PageId, TierConfig, TierManager};
 use cxl_topology::{Fabric, NodeId, SocketId, Topology};
 use rand::Rng;
@@ -420,7 +420,7 @@ struct RackState {
     /// Controller output: max slabs this rack may have lent at once.
     lend_cap: u64,
     /// EWMA of the rack's own excess demand, slabs per tick.
-    local_demand: Series,
+    local_demand: Ewma,
     /// This tick's accumulated local excess demand, slabs.
     tick_local_demand: u64,
 }
@@ -544,7 +544,7 @@ impl FleetState {
                 // Fully open until the controller's first sample; the
                 // EWMA tightens it from the second tick on.
                 lend_cap: rack_slabs,
-                local_demand: Series::new(64, 0.3),
+                local_demand: Ewma::new(0.3),
                 tick_local_demand: 0,
             })
             .collect();
@@ -820,7 +820,7 @@ impl FleetState {
             if retune && !rack.manager.is_offline() {
                 let reserve = rack
                     .local_demand
-                    .ewma()
+                    .value()
                     .map(|d| (d * self.cfg.lend_reserve).ceil() as u64)
                     .unwrap_or(0);
                 rack.lend_cap = rack.manager.total_slabs().saturating_sub(reserve);

@@ -196,7 +196,8 @@ impl PoolManager {
     }
 
     /// Slabs `host` still owes the pool under outstanding revocations.
-    pub fn reclaiming_slabs(&self, host: HostId) -> u64 {
+    #[cfg(test)]
+    fn reclaiming_slabs(&self, host: HostId) -> u64 {
         self.reclaiming[host.0]
     }
 

@@ -103,13 +103,13 @@ pub struct TenantConfig {
 /// static provisioning).
 ///
 /// The autoscaler is built from `cxl-ctl` parts: a [`cxl_ctl::KnobSpec`]
-/// lease ladder per tenant, [`cxl_ctl::Series`] EWMAs of backlog as the
-/// signal plane, and the transactional [`cxl_ctl::Plant`] contract (with
-/// `check_invariants` guardrails) for actuation. Unlike the autotune
-/// study's hill climber — which probes an *unknown* objective — the
-/// serving layer tracks a *known* signal (backlog per worker), so the
-/// policy here is deterministic threshold tracking with hysteresis and
-/// per-knob cooldown.
+/// lease ladder per tenant and the transactional [`cxl_ctl::Plant`]
+/// contract (with `check_invariants` guardrails) for actuation. Its
+/// signal is one [`cxl_stats::Ewma`] of backlog per tenant. Unlike the
+/// autotune study's hill climber — which probes an *unknown* objective —
+/// the serving layer tracks a *known* signal (backlog per worker), so
+/// the policy here is deterministic threshold tracking with hysteresis
+/// and per-knob cooldown.
 #[derive(Debug, Clone, Serialize)]
 pub struct AutoscaleConfig {
     /// Control-loop tick period.

@@ -23,7 +23,6 @@ use std::collections::VecDeque;
 use rand::Rng;
 use serde::Serialize;
 
-use cxl_ctl::Series;
 use cxl_ctl::{CtlError, KnobSpec, Plant};
 use cxl_fault::FaultKind;
 use cxl_kv::{KvConfig, KvStore};
@@ -32,7 +31,7 @@ use cxl_llm::{LlmCluster, LlmConfig, LlmPlacement};
 use cxl_pool::{HostId, PoolManager};
 use cxl_sim::{Engine, SimTime, TokenBucket};
 use cxl_stats::rng::{derive_seed, stream_rng};
-use cxl_stats::Histogram;
+use cxl_stats::{Ewma, Histogram};
 use cxl_tier::{AllocPolicy, HotPageConfig, MigrationMode, TierConfig};
 use cxl_topology::{MemoryTier, NodeId, SncMode, Topology};
 use cxl_ycsb::Workload;
@@ -170,7 +169,7 @@ struct TenantRt {
     peak_slabs: u64,
     rung: usize,
     cooldown: u32,
-    backlog: Series,
+    backlog: Ewma,
     arrivals: u64,
     served: u64,
     shed: u64,
@@ -264,7 +263,7 @@ impl ServeWorld {
                     peak_slabs: 0,
                     rung: 0,
                     cooldown: 0,
-                    backlog: Series::new(64, cfg.autoscale.as_ref().map_or(0.4, |a| a.ewma_alpha)),
+                    backlog: Ewma::new(cfg.autoscale.as_ref().map_or(0.4, |a| a.ewma_alpha)),
                     arrivals: 0,
                     served: 0,
                     shed: 0,
@@ -537,14 +536,14 @@ fn autoscale_tick(e: &mut Engine<ServeWorld>) {
         let decision = {
             let w = e.state_mut();
             w.clock = now;
-            let a = w.cfg.autoscale.clone().expect("tick only runs adaptive");
+            let a = w.cfg.autoscale.as_ref().expect("tick only runs adaptive");
             let t = &mut w.tenants[ti];
             t.backlog.push((t.queue.len() + t.busy) as f64);
             if t.cooldown > 0 {
                 t.cooldown -= 1;
                 None
             } else {
-                let ew = t.backlog.ewma().unwrap_or(0.0);
+                let ew = t.backlog.value().unwrap_or(0.0);
                 let per_worker = ew / t.cfg.workers as f64;
                 let rung = t.rung;
                 let top = w.ladder.len() - 1;

@@ -103,7 +103,8 @@ impl<S> Engine<S> {
 
     /// Number of live pending events (scheduled, not yet executed, not
     /// cancelled). Cancelled-but-unreaped tombstones are excluded.
-    pub fn live_events(&self) -> usize {
+    #[cfg(test)]
+    fn live_events(&self) -> usize {
         self.live
     }
 

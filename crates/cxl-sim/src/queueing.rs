@@ -91,7 +91,8 @@ impl MultiServer {
     }
 
     /// Earliest time any server becomes free.
-    pub fn earliest_free(&self) -> SimTime {
+    #[cfg(test)]
+    fn earliest_free(&self) -> SimTime {
         *self.busy_until.iter().min().expect("at least one server")
     }
 

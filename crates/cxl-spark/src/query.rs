@@ -49,7 +49,8 @@ impl QueryProfile {
     }
 
     /// Total bytes moved, GB.
-    pub fn total_gb(&self) -> f64 {
+    #[cfg(test)]
+    fn total_gb(&self) -> f64 {
         self.total_scan_gb() + self.total_shuffle_write_gb() + self.total_shuffle_read_gb()
     }
 }

@@ -114,10 +114,10 @@ impl Zipfian {
         self.theta
     }
 
-    /// Probability that a draw lands in the hottest `k` keys.
-    ///
-    /// Useful for sizing hot sets analytically in tests.
-    pub fn hot_mass(&self, k: u64) -> f64 {
+    /// Probability that a draw lands in the hottest `k` keys (the
+    /// analytic reference the sampling tests check draws against).
+    #[cfg(test)]
+    fn hot_mass(&self, k: u64) -> f64 {
         Self::zeta(k.min(self.items), self.theta) / self.zetan
     }
 }

@@ -9,7 +9,9 @@
 //!   report tail latencies and CDFs (Figs 5(b), 5(c), 8(a)).
 //! * [`dist`] — YCSB-compatible key choosers (Zipfian, scrambled Zipfian,
 //!   latest, uniform) used by the KeyDB experiments (§4.1, §4.3).
-//! * [`Summary`] — streaming mean/variance/min/max accumulator.
+//! * [`Summary`] — streaming mean/variance/min/max accumulator, and
+//!   [`Ewma`], the moving average behind the serving autoscaler and the
+//!   fleet lend controllers.
 //! * [`report`] — plain-text table and series rendering for the benchmark
 //!   binaries that regenerate the paper's tables and figures.
 //! * [`chart`] — ASCII line charts so figure shapes render in a terminal.
@@ -33,4 +35,4 @@ pub use dist::{Exponential, KeyChooser, Latest, Normal, ScrambledZipfian, Unifor
 pub use histogram::Histogram;
 pub use quantile::nearest_rank;
 pub use select::{argmax_by, argmin_by};
-pub use summary::Summary;
+pub use summary::{Ewma, Summary};

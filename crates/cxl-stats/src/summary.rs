@@ -1,4 +1,5 @@
-//! Streaming summary statistics (Welford's algorithm).
+//! Streaming summary statistics: Welford's mean/variance accumulator
+//! and an exponentially weighted moving average.
 
 use serde::Serialize;
 
@@ -120,6 +121,46 @@ impl Summary {
     }
 }
 
+/// Exponentially weighted moving average, seeded by the first push.
+///
+/// Each later push moves the average a fraction `alpha` of the way
+/// toward the new value (`e + alpha * (v - e)`), so a higher `alpha`
+/// tracks faster. Pure `f64` arithmetic in push order: a deterministic
+/// input stream gives a bit-identical average.
+#[derive(Debug, Clone)]
+pub struct Ewma {
+    alpha: f64,
+    value: Option<f64>,
+}
+
+impl Ewma {
+    /// Creates an empty average with weight `alpha`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alpha` is outside (0, 1].
+    pub fn new(alpha: f64) -> Self {
+        assert!(
+            alpha > 0.0 && alpha <= 1.0,
+            "EWMA alpha must lie in (0, 1], got {alpha}"
+        );
+        Self { alpha, value: None }
+    }
+
+    /// Folds one observation into the average.
+    pub fn push(&mut self, v: f64) {
+        self.value = Some(match self.value {
+            Some(e) => e + self.alpha * (v - e),
+            None => v,
+        });
+    }
+
+    /// The average so far, or `None` before the first push.
+    pub fn value(&self) -> Option<f64> {
+        self.value
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,5 +224,36 @@ mod tests {
         empty.merge(&a);
         assert_eq!(empty.count(), a.count());
         assert_eq!(empty.mean(), a.mean());
+    }
+
+    #[test]
+    fn ewma_seeds_on_first_push_and_steps_toward_each_value() {
+        let mut e = Ewma::new(0.5);
+        assert_eq!(e.value(), None);
+        e.push(10.0);
+        assert_eq!(e.value(), Some(10.0), "first push seeds the EWMA");
+        e.push(20.0);
+        assert_eq!(e.value(), Some(15.0));
+        e.push(20.0);
+        assert_eq!(e.value(), Some(17.5));
+        // The update is `e + alpha * (v - e)`. The algebraic rewrite
+        // `alpha * v + (1 - alpha) * e` gives 0.27999999999999997 here;
+        // the autoscaler and lend-cap thresholds compare against this
+        // value, so its form is pinned to the bit.
+        let mut e = Ewma::new(0.3);
+        e.push(0.1);
+        e.push(0.7);
+        assert_eq!(e.value().map(f64::to_bits), Some(0.28f64.to_bits()));
+        // Weight 1 is legal (no smoothing); 0 and anything above 1 are not.
+        let mut e = Ewma::new(1.0);
+        e.push(1.0);
+        e.push(3.0);
+        assert_eq!(e.value(), Some(3.0));
+        for bad in [0.0, 1.5, f64::NAN] {
+            assert!(
+                std::panic::catch_unwind(|| Ewma::new(bad)).is_err(),
+                "alpha {bad} must be rejected"
+            );
+        }
     }
 }

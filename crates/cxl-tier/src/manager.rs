@@ -326,7 +326,8 @@ impl TierManager {
     }
 
     /// Last reported DRAM bandwidth utilization.
-    pub fn dram_bandwidth_util(&self) -> f64 {
+    #[cfg(test)]
+    fn dram_bandwidth_util(&self) -> f64 {
         self.dram_bw_util
     }
 

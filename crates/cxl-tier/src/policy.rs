@@ -51,14 +51,6 @@ impl AllocPolicy {
         assert!(m == 0 || !low.is_empty(), "low share with no low nodes");
         AllocPolicy::InterleaveNm { top, low, n, m }
     }
-
-    /// Fraction of pages directed to the top tier.
-    pub fn top_fraction(&self) -> f64 {
-        match self {
-            AllocPolicy::InterleaveNm { n, m, .. } => *n as f64 / (*n + *m) as f64,
-            _ => 1.0,
-        }
-    }
 }
 
 /// Iterator-like cursor implementing a policy's placement order.
@@ -166,13 +158,6 @@ mod tests {
         let b = c.next_candidates()[0];
         assert_ne!(a, b);
         assert_eq!(c.next_candidates()[0], NodeId(8));
-    }
-
-    #[test]
-    fn top_fraction() {
-        let p = AllocPolicy::interleave(vec![NodeId(0)], vec![NodeId(8)], 1, 3);
-        assert!((p.top_fraction() - 0.25).abs() < 1e-12);
-        assert_eq!(AllocPolicy::Bind(vec![NodeId(0)]).top_fraction(), 1.0);
     }
 
     #[test]

@@ -54,7 +54,8 @@ pub struct TierStats {
 
 impl TierStats {
     /// Promotion success ratio among hint faults on slow-tier pages.
-    pub fn promotion_rate(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn promotion_rate(&self) -> f64 {
         let attempts = self.promotions
             + self.promotions_rate_limited
             + self.promotions_not_hot

@@ -123,7 +123,8 @@ impl TraceRing {
     }
 
     /// Counts retained events matching a predicate.
-    pub fn count_matching(&self, pred: impl Fn(&TierEvent) -> bool) -> usize {
+    #[cfg(test)]
+    pub(crate) fn count_matching(&self, pred: impl Fn(&TierEvent) -> bool) -> usize {
         self.buf.iter().filter(|e| pred(&e.event)).count()
     }
 }

@@ -32,7 +32,8 @@ pub struct TrafficEpoch {
 
 impl TrafficEpoch {
     /// Records an application access.
-    pub fn record_access(&mut self, node: NodeId, bytes: u64, is_write: bool) {
+    #[cfg(test)]
+    fn record_access(&mut self, node: NodeId, bytes: u64, is_write: bool) {
         let map = if is_write {
             &mut self.node_write_bytes
         } else {
@@ -57,7 +58,8 @@ impl TrafficEpoch {
     }
 
     /// Total application + migration bytes through NUMA nodes.
-    pub fn total_node_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_node_bytes(&self) -> u64 {
         self.node_read_bytes.values().sum::<u64>()
             + self.node_write_bytes.values().sum::<u64>()
             + self.migration_read_bytes.values().sum::<u64>()

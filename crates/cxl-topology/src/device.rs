@@ -26,16 +26,6 @@ impl DdrGeneration {
             DdrGeneration::Ddr5_6400 => 51.2,
         }
     }
-
-    /// Transfer rate in MT/s.
-    pub fn mega_transfers(self) -> u32 {
-        match self {
-            DdrGeneration::Ddr4_3200 => 3200,
-            DdrGeneration::Ddr5_4800 => 4800,
-            DdrGeneration::Ddr5_5600 => 5600,
-            DdrGeneration::Ddr5_6400 => 6400,
-        }
-    }
 }
 
 /// A PCIe link carrying CXL.io/CXL.mem traffic.
@@ -221,7 +211,6 @@ mod tests {
     #[test]
     fn ddr_bandwidths() {
         assert!((DdrGeneration::Ddr5_4800.channel_bandwidth_gbps() - 38.4).abs() < 1e-12);
-        assert_eq!(DdrGeneration::Ddr5_4800.mega_transfers(), 4800);
         assert!(
             DdrGeneration::Ddr5_6400.channel_bandwidth_gbps()
                 > DdrGeneration::Ddr4_3200.channel_bandwidth_gbps()

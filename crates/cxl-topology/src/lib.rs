@@ -304,22 +304,6 @@ impl Topology {
         self.sockets.iter().map(|s| s.cores).sum()
     }
 
-    /// Returns the nodes local to a socket (DRAM nodes of that socket).
-    pub fn dram_nodes_of(&self, socket: SocketId) -> Vec<NumaNode> {
-        self.nodes()
-            .into_iter()
-            .filter(|n| n.socket == socket && n.tier == MemoryTier::LocalDram)
-            .collect()
-    }
-
-    /// Returns the CXL nodes attached to a socket.
-    pub fn cxl_nodes_of(&self, socket: SocketId) -> Vec<NumaNode> {
-        self.nodes()
-            .into_iter()
-            .filter(|n| n.socket == socket && n.tier == MemoryTier::CxlExpander)
-            .collect()
-    }
-
     /// Resolves a CXL node id to its `(socket index, device index)`
     /// position, or `None` for DRAM/unknown nodes.
     fn cxl_device_pos(&self, node: NodeId) -> Option<(usize, usize)> {
@@ -465,14 +449,6 @@ mod tests {
         for (i, n) in nodes.iter().enumerate() {
             assert_eq!(n.id.0, i);
         }
-    }
-
-    #[test]
-    fn socket_filters() {
-        let t = Topology::paper_testbed(SncMode::Snc4);
-        assert_eq!(t.dram_nodes_of(SocketId(0)).len(), 4);
-        assert_eq!(t.cxl_nodes_of(SocketId(0)).len(), 2);
-        assert_eq!(t.cxl_nodes_of(SocketId(1)).len(), 0);
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl Socket {
         self.cxl_devices = devices;
         self
     }
-
-    /// Theoretical peak local DDR bandwidth in GB/s.
-    pub fn dram_peak_bandwidth_gbps(&self) -> f64 {
-        self.ddr_gen.channel_bandwidth_gbps() * self.ddr_channels as f64
-    }
 }
 
 #[cfg(test)]
@@ -81,9 +76,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn socket_peak_bandwidth() {
+    fn new_socket_has_no_cxl_devices() {
         let s = Socket::new(SocketId(0), 56, 8, DdrGeneration::Ddr5_4800, 512);
-        assert!((s.dram_peak_bandwidth_gbps() - 307.2).abs() < 1e-9);
         assert!(s.cxl_devices.is_empty());
     }
 

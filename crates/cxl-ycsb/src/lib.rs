@@ -182,7 +182,8 @@ impl Generator {
     }
 
     /// Total keys in existence (grows under workload D inserts).
-    pub fn key_count(&self) -> u64 {
+    #[cfg(test)]
+    fn key_count(&self) -> u64 {
         self.next_insert_key
     }
 
