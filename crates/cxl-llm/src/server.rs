@@ -9,6 +9,8 @@
 //! aggregate model cannot: time-to-first-token, per-request latency, and
 //! queue depths.
 
+use std::collections::VecDeque;
+
 use rand::Rng;
 use serde::Serialize;
 
@@ -142,7 +144,7 @@ struct BackendState {
 
 struct ServerState {
     backends: Vec<BackendState>,
-    queue: Vec<(SimTime, Request)>,
+    queue: VecDeque<(SimTime, Request)>,
     max_queue_depth: usize,
     ttft: Histogram,
     latency: Histogram,
@@ -184,7 +186,7 @@ pub fn simulate(cluster: &LlmCluster, cfg: &ServerConfig) -> ServingReport {
                 busy_until: SimTime::ZERO,
             })
             .collect(),
-        queue: Vec::new(),
+        queue: VecDeque::new(),
         max_queue_depth: 0,
         ttft: Histogram::new(),
         latency: Histogram::new(),
@@ -195,28 +197,29 @@ pub fn simulate(cluster: &LlmCluster, cfg: &ServerConfig) -> ServingReport {
     };
     let mut engine = Engine::new(state);
 
-    // Schedule all arrivals up front (open loop).
+    // Open-loop arrivals as one stream: each request's interarrival gap
+    // and output length are drawn only as its arrival is pulled into the
+    // engine, so just the next arrival is pending.
     let mut rng = stream_rng(cfg.seed, "llm-server");
     let interarrival = cxl_stats::Exponential::new(cfg.arrival_rate);
+    let (prompt_tokens, mean_output_tokens) = (cfg.prompt_tokens, cfg.mean_output_tokens);
     let mut t = 0.0f64;
-    for _ in 0..cfg.requests {
+    let arrivals = (0..cfg.requests).map(move |_| {
         t += interarrival.sample(&mut rng);
-        let out_tokens = (cfg.mean_output_tokens as f64 * (0.5 + rng.gen::<f64>())) as u32;
+        let out_tokens = (mean_output_tokens as f64 * (0.5 + rng.gen::<f64>())) as u32;
         let req = Request {
-            prompt_tokens: cfg.prompt_tokens,
+            prompt_tokens,
             output_tokens: out_tokens.max(1),
         };
-        let arrival = SimTime::from_secs_f64(t);
-        engine.schedule_at(arrival, move |e| {
-            let now = e.now();
-            e.state_mut().queue.push((now, req));
-            let depth = e.state().queue.len();
-            if depth > e.state().max_queue_depth {
-                e.state_mut().max_queue_depth = depth;
-            }
-            dispatch(e);
-        });
-    }
+        (SimTime::from_secs_f64(t), req)
+    });
+    engine.schedule_stream(arrivals, |e, req| {
+        let now = e.now();
+        let state = e.state_mut();
+        state.queue.push_back((now, req));
+        state.max_queue_depth = state.max_queue_depth.max(state.queue.len());
+        dispatch(e);
+    });
     engine.run();
 
     let duration = engine.now();
@@ -246,7 +249,7 @@ fn dispatch(engine: &mut Engine<ServerState>) {
         let Some(backend) = state.backends.iter().position(|b| b.busy_until <= now) else {
             return;
         };
-        let (arrival, req) = state.queue.remove(0);
+        let (arrival, req) = state.queue.pop_front().expect("checked non-empty");
         // Concurrency after this assignment sets the decode pace.
         let busy = state.backends.iter().filter(|b| b.busy_until > now).count() + 1;
         let tt = state.token_time_at[busy.min(state.token_time_at.len() - 1)];
@@ -382,6 +385,45 @@ mod tests {
         let b = simulate(&cluster(), &ServerConfig::default());
         assert_eq!(a.tokens_per_sec, b.tokens_per_sec);
         assert_eq!(a.latency.percentile(99.0), b.latency.percentile(99.0));
+    }
+
+    #[test]
+    fn outputs_are_pinned_to_the_bit() {
+        // Exact outputs at seed 42: any change to the arrival or
+        // output-length draws, their order, the router's dispatch order
+        // or the pricing moves at least one of these.
+        let overloaded = ServerConfig {
+            arrival_rate: 5.0,
+            ..Default::default()
+        };
+        for (cfg, max_queue_depth, duration_ns, tps_bits, ttft, latency) in [
+            (
+                ServerConfig::default(),
+                308,
+                891_197_356_474,
+                0x404c_3971_7e70_6144,
+                [332_859_965_440, 674_309_865_472],
+                [341_449_900_032, 682_899_800_064],
+            ),
+            (
+                overloaded,
+                361,
+                890_533_642_669,
+                0x404c_3ed4_155d_ae16,
+                [392_989_507_584, 794_568_949_760],
+                [401_579_442_176, 803_158_884_352],
+            ),
+        ] {
+            let r = simulate(&cluster(), &cfg);
+            let rate = cfg.arrival_rate;
+            let p50_p99 = |h: &Histogram| [h.percentile(50.0), h.percentile(99.0)];
+            assert_eq!(r.completed, 400, "rate {rate}");
+            assert_eq!(r.max_queue_depth, max_queue_depth, "rate {rate}");
+            assert_eq!(r.duration.as_ns(), duration_ns, "rate {rate}");
+            assert_eq!(r.tokens_per_sec.to_bits(), tps_bits, "rate {rate}");
+            assert_eq!(p50_p99(&r.ttft), ttft, "rate {rate}");
+            assert_eq!(p50_p99(&r.latency), latency, "rate {rate}");
+        }
     }
 
     #[test]

@@ -20,6 +20,9 @@
 //! [`stream_rng`] keyed only by `(seed, tenant name)`. Arrival times
 //! therefore never depend on simulation state, completions, or worker
 //! parallelism — the determinism contract the cross-jobs CI gate pins.
+//! The simulation schedules each trace as one engine stream
+//! ([`cxl_sim::Engine::schedule_stream`]), so the event queue holds only
+//! the next arrival per tenant, not the whole trace.
 
 use crate::config::{ServeConfig, TenantConfig};
 use cxl_sim::SimTime;

@@ -212,8 +212,10 @@ impl ServeConfig {
     /// # Panics
     ///
     /// Panics on an inconsistent configuration (mismatched phase
-    /// multiplier lengths, empty tenant/phase lists, a fault scheduled
-    /// past the horizon, or a non-monotone autoscale ladder).
+    /// multiplier lengths, empty tenant/phase lists, a negative or
+    /// non-finite base rate or phase multiplier, an SLO target that is
+    /// not finite and positive, a fault scheduled past the horizon, or a
+    /// non-monotone autoscale ladder).
     pub fn validate(&self) {
         assert!(!self.tenants.is_empty(), "need at least one tenant");
         assert!(!self.phases.is_empty(), "need at least one phase");
@@ -225,6 +227,28 @@ impl ServeConfig {
                 t.name,
                 t.phase_mults.len(),
                 self.phases.len()
+            );
+            // A negative rate would silently generate no arrivals, and a
+            // NaN one would panic deep in the sampler without a name.
+            assert!(
+                t.base_rate_rps.is_finite() && t.base_rate_rps >= 0.0,
+                "tenant {} has base_rate_rps {}: must be finite and >= 0",
+                t.name,
+                t.base_rate_rps
+            );
+            for (p, &m) in self.phases.iter().zip(&t.phase_mults) {
+                assert!(
+                    m.is_finite() && m >= 0.0,
+                    "tenant {} has phase multiplier {m} for phase {}: must be finite and >= 0",
+                    t.name,
+                    p.name
+                );
+            }
+            assert!(
+                t.slo_p99_ms.is_finite() && t.slo_p99_ms > 0.0,
+                "tenant {} has slo_p99_ms {}: must be finite and > 0",
+                t.name,
+                t.slo_p99_ms
             );
             assert!(t.workers > 0, "tenant {} has no workers", t.name);
             assert!(t.queue_cap > 0, "tenant {} has no queue", t.name);

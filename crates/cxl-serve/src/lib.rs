@@ -256,4 +256,28 @@ mod tests {
             assert_eq!(t.final_lease_slabs, 0);
         }
     }
+
+    #[test]
+    #[should_panic(expected = "tenant kv0 has base_rate_rps -400")]
+    fn negative_base_rate_is_rejected() {
+        let mut cfg = base_cfg();
+        cfg.tenants[0].base_rate_rps = -400.0;
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant llm0 has phase multiplier NaN for phase peak")]
+    fn nan_phase_multiplier_is_rejected() {
+        let mut cfg = base_cfg();
+        cfg.tenants[1].phase_mults[1] = f64::NAN;
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant kv0 has slo_p99_ms 0")]
+    fn zero_slo_target_is_rejected() {
+        let mut cfg = base_cfg();
+        cfg.tenants[0].slo_p99_ms = 0.0;
+        cfg.validate();
+    }
 }

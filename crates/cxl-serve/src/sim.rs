@@ -1,9 +1,11 @@
 //! The serving event loop: admission, dispatch, completion, autoscale,
 //! fault injection, and the slab-second cost ledger.
 //!
-//! Everything runs on one [`cxl_sim::Engine`]; arrival traces are
+//! Everything runs on one [`cxl_sim::Engine`]. Arrival traces are
 //! materialised up front (see [`crate::arrival`]) so the offered load is
-//! independent of backend state. Each tenant owns a bounded FIFO fed
+//! independent of backend state, but each tenant's trace enters the
+//! engine as one stream ([`cxl_sim::Engine::schedule_stream`]): only its
+//! next arrival is pending at any time. Each tenant owns a bounded FIFO fed
 //! through two admission gates — a queue-depth cutoff (`Rejected`) and a
 //! token budget (`Shed`) — and a worker pool that prices service on the
 //! real backends: [`cxl_kv::KvStore::service_request`] for KeyDB
@@ -50,8 +52,8 @@ const CXL_LEASED: NodeId = NodeId(3);
 // Request work and outcomes
 // ---------------------------------------------------------------------
 
-/// Pre-drawn work for one request (materialised with the trace so the
-/// offered load never depends on simulation state).
+/// Work for one request, drawn in arrival order from the tenant's own
+/// RNG stream, so the offered load never depends on simulation state.
 #[derive(Debug, Clone, Copy)]
 enum Work {
     /// A KeyDB batch of this many ops.
@@ -723,13 +725,16 @@ pub fn run_serve(cfg: &ServeConfig) -> ServeReport {
     let horizon = cfg.horizon();
     let mut engine = Engine::new(ServeWorld::new(cfg));
 
-    // Materialise every tenant's trace and pre-draw request work so the
-    // offered load is a pure function of (seed, tenant name).
+    // One arrival stream per tenant, installed in tenant order. The
+    // trace is materialised, but only its next arrival is pending; each
+    // request's work is drawn, in arrival order, from the tenant's own
+    // RNG stream as its arrival is pulled into the engine. The offered
+    // load stays a pure function of (seed, tenant name).
     for (ti, t) in cfg.tenants.iter().enumerate() {
-        let arrivals = generate_arrivals(cfg, ti);
+        let class = t.class;
         let mut work_rng = stream_rng(cfg.seed, &format!("serve.work.{}", t.name));
-        for at in arrivals {
-            let work = match t.class {
+        let arrivals = generate_arrivals(cfg, ti).into_iter().map(move |at| {
+            let work = match class {
                 TenantClass::Kv {
                     ops_per_request, ..
                 } => Work::Kv {
@@ -750,8 +755,9 @@ pub fn run_serve(cfg: &ServeConfig) -> ServeReport {
                     }
                 }
             };
-            engine.schedule_at(at, move |e| on_arrival(e, ti, work));
-        }
+            (at, work)
+        });
+        engine.schedule_stream(arrivals, move |e, work| on_arrival(e, ti, work));
     }
 
     // Static provisioning: take the fixed lease up front, hold it for

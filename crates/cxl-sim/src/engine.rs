@@ -18,6 +18,11 @@
 //! `(slot, generation)`, and a cancel whose generation no longer
 //! matches the slot's is the documented no-op, never a hit on an
 //! unrelated event that happens to reuse the slot.
+//!
+//! A long time-sorted batch (an open-loop arrival trace) goes in as a
+//! *stream* ([`Engine::schedule_stream`]): one seq per item is reserved
+//! up front, but only the next item occupies a slot and a heap entry,
+//! so pending-event memory does not grow with the batch.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -70,7 +75,8 @@ pub struct Engine<S> {
     heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     slots: Vec<Slot<S>>,
     free: Vec<u32>,
-    /// Scheduled and neither executed nor cancelled.
+    /// Scheduled and neither executed nor cancelled, including stream
+    /// items not yet in the heap.
     live: usize,
     state: S,
     executed: u64,
@@ -133,6 +139,18 @@ impl<S> Engine<S> {
         at: SimTime,
         f: impl FnOnce(&mut Engine<S>) + 'static,
     ) -> EventId {
+        let id = self.push(at, self.seq, Box::new(f));
+        self.seq += 1;
+        self.live += 1;
+        // True live depth: tombstones of cancelled events don't count.
+        cxl_obs::counter_max("sim/heap_depth_max", self.live as u64);
+        id
+    }
+
+    /// Files `f` in the heap under the key `(at, seq)`: the one insertion
+    /// path, shared by [`Engine::schedule_at`] and stream items. Seq and
+    /// live accounting are the caller's.
+    fn push(&mut self, at: SimTime, seq: u64, f: EventFn<S>) -> EventId {
         assert!(
             at >= self.now,
             "cannot schedule into the past: {at} < {}",
@@ -146,14 +164,52 @@ impl<S> Engine<S> {
                 (self.slots.len() - 1) as u32
             }
         };
-        let id = EventId::pack(slot, self.slots[slot as usize].gen);
-        self.slots[slot as usize].f = Some(Box::new(f));
-        self.heap.push(Reverse((at, self.seq, slot)));
-        self.seq += 1;
-        self.live += 1;
-        // True live depth: tombstones of cancelled events don't count.
+        let si = slot as usize;
+        self.slots[si].f = Some(f);
+        self.heap.push(Reverse((at, seq, slot)));
+        EventId::pack(slot, self.slots[si].gen)
+    }
+
+    /// Schedules every item of a time-sorted stream, running `f` on each
+    /// at its time, while only the next item sits in the heap.
+    ///
+    /// One seq per item is reserved here, so each item keeps the exact
+    /// `(time, seq)` key — and so the execution order — that scheduling
+    /// them all now with [`Engine::schedule_at`] would give it. Unfired
+    /// items count as live: [`Engine::is_idle`] and `sim/heap_depth_max`
+    /// mean "scheduled, not yet run" whether or not an item is in the
+    /// heap yet. When an item fires, `f` runs and the item then pulls
+    /// its successor from `items` into the heap. Exactly `items.len()`
+    /// items are taken. Stream items cannot be cancelled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an item is in the past when it enters the heap: the
+    /// first at install, a later one when it is earlier than the item
+    /// before it. Also panics if `items` ends before its reported length.
+    pub fn schedule_stream<T, I, F>(&mut self, items: I, f: F)
+    where
+        I: IntoIterator<Item = (SimTime, T)>,
+        I::IntoIter: ExactSizeIterator + 'static,
+        T: 'static,
+        F: FnMut(&mut Engine<S>, T) + 'static,
+    {
+        let mut items = items.into_iter();
+        let len = items.len();
+        if len == 0 {
+            return;
+        }
+        let (at, item) = items.next().expect(SHORT_STREAM);
+        let seq = self.seq;
+        Stream {
+            items,
+            f,
+            left: len - 1,
+        }
+        .push_item(self, at, seq, item);
+        self.seq += len as u64;
+        self.live += len;
         cxl_obs::counter_max("sim/heap_depth_max", self.live as u64);
-        id
     }
 
     /// Schedules an event after a delay from now.
@@ -296,6 +352,40 @@ impl<S> Engine<S> {
     /// True when no live events remain (tombstones don't count).
     pub fn is_idle(&self) -> bool {
         self.live == 0
+    }
+}
+
+const SHORT_STREAM: &str = "stream yielded fewer items than its len()";
+
+/// The unfired tail of a [`Engine::schedule_stream`]: the items not yet
+/// pulled, and the handler each item runs.
+struct Stream<I, F> {
+    items: I,
+    f: F,
+    /// Items still to pull from `items`.
+    left: usize,
+}
+
+impl<I, F> Stream<I, F> {
+    /// Files `item` under its reserved key `(at, seq)`. When it fires, it
+    /// runs the handler and then files its successor under `seq + 1`;
+    /// the clock is then at `at`, so a successor earlier than its
+    /// predecessor trips the past-time check.
+    fn push_item<S, T>(mut self, e: &mut Engine<S>, at: SimTime, seq: u64, item: T)
+    where
+        I: Iterator<Item = (SimTime, T)> + 'static,
+        T: 'static,
+        F: FnMut(&mut Engine<S>, T) + 'static,
+    {
+        let fire = move |e: &mut Engine<S>| {
+            (self.f)(e, item);
+            if self.left > 0 {
+                self.left -= 1;
+                let (next_at, next) = self.items.next().expect(SHORT_STREAM);
+                self.push_item(e, next_at, seq + 1, next);
+            }
+        };
+        e.push(at, seq, Box::new(fire));
     }
 }
 
@@ -501,9 +591,48 @@ mod tests {
         e.cancel(a);
         // Live is 2; a fourth schedule may not report depth 4.
         e.schedule_at(SimTime::from_ns(40), |_| {});
-        drop(guard);
         assert_eq!(reg.max("sim/heap_depth_max"), Some(3));
+        // Unfired stream items are live although only one is in the heap
+        // (next to the three live keys and a's tombstone).
+        let stream = (50..55u32).map(|t| (SimTime::from_ns(t.into()), ()));
+        e.schedule_stream(stream, |_, ()| {});
+        assert_eq!(e.heap.len(), 5);
+        assert_eq!(reg.max("sim/heap_depth_max"), Some(8));
+        e.run_until(SimTime::from_ns(51));
+        // Five ran (b, c, d and two stream items): live is 3, then 4.
+        e.schedule_at(SimTime::from_ns(60), |_| {});
+        assert_eq!(e.live_events(), 4);
+        assert_eq!(reg.max("sim/heap_depth_max"), Some(8));
+        drop(guard);
         assert_eq!(reg.counter("sim/events_cancelled"), Some(1));
+    }
+
+    #[test]
+    fn long_stream_keeps_the_arena_small() {
+        // 100k arrivals, each followed 3 ns later by a completion: the
+        // eager form would hold 100k closures; a stream holds the next
+        // arrival plus the few completions in flight.
+        let mut e: Engine<u64> = Engine::new(0);
+        let n = 100_000u32;
+        e.schedule_stream((0..n).map(|t| (SimTime::from_ns(t.into()), ())), |e, ()| {
+            e.schedule_after(SimTime::from_ns(3), |e| *e.state_mut() += 1);
+        });
+        assert_eq!(e.live_events(), n as usize);
+        assert_eq!(e.slots.len(), 1);
+        e.run();
+        assert_eq!(*e.state(), u64::from(n));
+        assert_eq!(e.executed(), 2 * u64::from(n));
+        assert!(e.is_idle());
+        assert!(e.slots.len() <= 6, "arena grew to {} slots", e.slots.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past: 15ns < 20ns")]
+    fn decreasing_stream_times_panic() {
+        let mut e: Engine<u32> = Engine::new(0);
+        let times = [10, 20, 15, 30];
+        e.schedule_stream(times.map(|t| (SimTime::from_ns(t), ())), |_, ()| {});
+        e.run();
     }
 
     #[test]

@@ -4,19 +4,22 @@
 //! The reference stores every scheduled event in a flat `Vec` and scans
 //! it linearly — trivially correct by inspection, with none of the
 //! arena engine's moving parts (slot reuse, generations, tombstone
-//! reaping, boundary-aware stepping). Random op scripts mixing
+//! reaping, boundary-aware stepping, streams). Random op scripts mixing
 //! schedule, cancel (live / executed / repeated — the stale-id cases
-//! behind the old `is_idle` bug), bounded runs (the old `run_until`
-//! overrun), and single steps must leave both machines with identical
-//! execution order, clock, executed count, and idleness.
+//! behind the old `is_idle` bug), streams (which the reference schedules
+//! eagerly, one consecutive seq per item), bounded runs (the old
+//! `run_until` overrun, and boundaries inside a stream), and single
+//! steps must leave both machines with identical execution order,
+//! clock, executed count, and idleness. Every time sits on a 10 ns grid
+//! so that equal timestamps, where only the seq decides, are common.
 
 use cxl_sim::{Engine, EventId, SimTime};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// One entry per `schedule` op, never removed: a stale handle stays
-/// addressable so scripts can exercise cancel-after-execute.
+/// One entry per scheduled event or stream item, never removed: a stale
+/// handle stays addressable so scripts can exercise cancel-after-execute.
 struct RefEvent {
     at: u64,
     seq: u64,
@@ -35,14 +38,16 @@ struct RefModel {
 }
 
 impl RefModel {
-    fn schedule(&mut self, delay: u64, marker: u32) {
+    /// Schedules one event at absolute time `at`; returns its index.
+    fn schedule(&mut self, at: u64, marker: u32) -> usize {
         self.events.push(RefEvent {
-            at: self.now + delay,
+            at,
             seq: self.seq,
             marker,
             live: true,
         });
         self.seq += 1;
+        self.events.len() - 1
     }
 
     fn cancel(&mut self, idx: usize) {
@@ -92,7 +97,7 @@ impl RefModel {
 /// Script ops, decoded from `(selector, a, b)` triples so the strategy
 /// stays a plain tuple vector.
 enum Op {
-    /// Schedule a no-op-with-marker event `a % 1000` ns from now.
+    /// Schedule a no-op-with-marker event up to 990 ns from now.
     Schedule {
         delay: u64,
     },
@@ -101,21 +106,53 @@ enum Op {
     Cancel {
         pick: u64,
     },
-    /// Run until `a % 1500` ns past the current clock.
+    /// Stream 0–16 marker items, the first up to 990 ns from now, each
+    /// next one 0–30 ns after the previous (0 makes a tie).
+    Stream {
+        delay: u64,
+        gaps: u64,
+    },
+    /// Run until up to 1490 ns past the current clock.
     RunUntil {
         delta: u64,
     },
     Step,
 }
 
+/// Grid step for every time in a script.
+const GRID: u64 = 10;
+
 fn decode(sel: u8, a: u64, b: u64) -> Op {
-    match sel % 8 {
+    match sel % 10 {
         // Weight scheduling heavily so scripts build real backlogs.
-        0..=3 => Op::Schedule { delay: a % 1000 },
+        0..=3 => Op::Schedule {
+            delay: (a % 100) * GRID,
+        },
         4 | 5 => Op::Cancel { pick: b },
-        6 => Op::RunUntil { delta: a % 1500 },
+        6 => Op::Stream {
+            delay: (a % 100) * GRID,
+            gaps: b,
+        },
+        7 | 8 => Op::RunUntil {
+            delta: (a % 150) * GRID,
+        },
         _ => Op::Step,
     }
+}
+
+/// The absolute item times of a stream op: the length is `gaps`' top
+/// bits mod 17, and item `i`'s gap its bits `2i..2i+2`, in grid steps.
+fn stream_times(start: u64, gaps: u64) -> Vec<u64> {
+    let len = (gaps >> 40) % 17;
+    let mut at = start;
+    (0..len)
+        .map(|i| {
+            if i > 0 {
+                at += ((gaps >> (2 * i)) & 3) * GRID;
+            }
+            at
+        })
+        .collect()
 }
 
 proptest! {
@@ -126,7 +163,8 @@ proptest! {
     ) {
         let log: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
         let mut eng: Engine<()> = Engine::new(());
-        let mut ids: Vec<EventId> = Vec::new();
+        // Each handle with the index of its event in the reference.
+        let mut ids: Vec<(EventId, usize)> = Vec::new();
         let mut mref = RefModel::default();
         let mut marker: u32 = 0;
 
@@ -136,18 +174,31 @@ proptest! {
                     let m = marker;
                     marker += 1;
                     let sink = log.clone();
-                    ids.push(eng.schedule_after(
+                    let id = eng.schedule_after(
                         SimTime::from_ns(delay),
                         move |_| sink.borrow_mut().push(m),
-                    ));
-                    mref.schedule(delay, m);
+                    );
+                    ids.push((id, mref.schedule(mref.now + delay, m)));
                 }
                 Op::Cancel { pick } => {
                     if !ids.is_empty() {
-                        let idx = (pick % ids.len() as u64) as usize;
-                        eng.cancel(ids[idx]);
+                        let (id, idx) = ids[(pick % ids.len() as u64) as usize];
+                        eng.cancel(id);
                         mref.cancel(idx);
                     }
+                }
+                Op::Stream { delay, gaps } => {
+                    let items: Vec<(SimTime, u32)> = stream_times(mref.now + delay, gaps)
+                        .into_iter()
+                        .map(|at| {
+                            let m = marker;
+                            marker += 1;
+                            mref.schedule(at, m);
+                            (SimTime::from_ns(at), m)
+                        })
+                        .collect();
+                    let sink = log.clone();
+                    eng.schedule_stream(items, move |_, m| sink.borrow_mut().push(m));
                 }
                 Op::RunUntil { delta } => {
                     let until = mref.now + delta;
