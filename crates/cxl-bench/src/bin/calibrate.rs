@@ -84,5 +84,4 @@ fn main() {
         out.push('\n');
         out
     });
-    cxl_bench::report_solve_cache();
 }

@@ -62,5 +62,4 @@ fn main() {
         }
         out
     });
-    cxl_bench::report_solve_cache();
 }

@@ -1,13 +1,12 @@
 //! Regenerates Fig. 10: LLM inference serving rate, single-backend
 //! bandwidth, and KV-cache bandwidth (§5).
 
-use cxl_bench::{emit, figure_text, report_solve_cache, runner_from_args, shape_line};
+use cxl_bench::{emit, figure_text, runner_from_args, shape_line};
 use cxl_core::experiments::llm;
 
 fn main() {
     let _metrics = cxl_bench::metrics_guard();
     let study = llm::run_with(&runner_from_args());
-    report_solve_cache();
     emit(&study, || {
         let mut out = String::new();
         out.push_str(&figure_text(&study.fig10a()));

@@ -1,13 +1,12 @@
 //! Regenerates Fig. 3: loaded-latency curves for MMEM / MMEM-r / CXL /
 //! CXL-r under the paper's read:write mixes (§3.2).
 
-use cxl_bench::{emit, figure_text, report_solve_cache, runner_from_args, shape_line};
+use cxl_bench::{emit, figure_text, runner_from_args, shape_line};
 use cxl_core::experiments::latency;
 
 fn main() {
     let _metrics = cxl_bench::metrics_guard();
     let study = latency::run_with(&runner_from_args());
-    report_solve_cache();
     emit(&study, || {
         let mut out = String::new();
         for fig in &study.fig3 {

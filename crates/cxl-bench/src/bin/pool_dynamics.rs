@@ -89,5 +89,4 @@ fn main() {
         out.push('\n');
         out
     });
-    cxl_bench::report_solve_cache();
 }

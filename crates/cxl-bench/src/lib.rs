@@ -118,23 +118,6 @@ impl Drop for MetricsGuard {
     }
 }
 
-/// Reports the `cxl-perf` solve-cache hit rate on stderr.
-///
-/// Goes to stderr so stdout stays byte-comparable between runs at
-/// different `--jobs` values; call it after the study completes in
-/// binaries that drive the analytic solver.
-pub fn report_solve_cache() {
-    let stats = cxl_perf::solve_cache_stats();
-    if stats.hits + stats.misses > 0 {
-        eprintln!(
-            "# solve cache: {} hits, {} misses ({:.1}% hit rate)",
-            stats.hits,
-            stats.misses,
-            stats.hit_rate() * 100.0
-        );
-    }
-}
-
 /// True when `--chart` was passed on the command line.
 pub fn chart_mode() -> bool {
     std::env::args().any(|a| a == "--chart")

@@ -28,8 +28,8 @@
 //!   the same cells run; CI diffs the `sim` export section between
 //!   `--jobs 1` and `--jobs 8`.
 //! * [`Class::Wall`] — wall clock or scheduling dependent (cell
-//!   runtimes, solve-cache hit/miss splits, worker occupancy).
-//!   Excluded from determinism comparisons.
+//!   runtimes, worker occupancy), plus host-side effort counters such
+//!   as `perf/solves`. Excluded from determinism comparisons.
 //!
 //! # Dispatch and the zero-cost no-op mode
 //!

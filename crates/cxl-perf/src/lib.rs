@@ -37,6 +37,6 @@ mod system;
 pub use mix::{AccessMix, Pattern};
 pub use params::{ModelParams, SSD_BW_GBPS, SSD_READ_LATENCY_NS};
 pub use system::{
-    solve_cache_reset, solve_cache_stats, Distance, FlowOutcome, FlowSpec, LatencyBreakdown,
-    MemSystem, PerfError, ResourceKind, SolveCacheStats, SolveResult,
+    solve_cache_reset, Distance, FlowOutcome, FlowSpec, LatencyBreakdown, MemSystem, PerfError,
+    ResourceKind, SolveResult,
 };

@@ -48,11 +48,9 @@ fn burst_windows(t: &TenantConfig, horizon_s: f64, rng: &mut SmallRng) -> Vec<(f
     let Some(b) = t.burst else {
         return Vec::new();
     };
-    assert!(b.mult >= 1.0, "burst multiplier must be >= 1");
-    assert!(
-        b.mean_on_s > 0.0 && b.mean_off_s > 0.0,
-        "burst holding-time means must be positive"
-    );
+    // `generate_arrivals` is public and reaches here without
+    // `ServeConfig::validate`.
+    b.validate(&t.name);
     let off = Exponential::new(1.0 / b.mean_off_s);
     let on = Exponential::new(1.0 / b.mean_on_s);
     let mut windows = Vec::new();

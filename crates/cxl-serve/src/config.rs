@@ -42,6 +42,28 @@ pub struct BurstConfig {
     pub mean_off_s: f64,
 }
 
+impl BurstConfig {
+    /// Panics, naming `tenant`, unless the multiplier is finite and at
+    /// least 1 and both holding-time means are finite and positive. An
+    /// infinite mean would otherwise reach the sampler as rate 0.
+    pub(crate) fn validate(&self, tenant: &str) {
+        assert!(
+            self.mult.is_finite() && self.mult >= 1.0,
+            "tenant {tenant} has burst mult {}: must be finite and >= 1",
+            self.mult
+        );
+        for (field, mean) in [
+            ("mean_on_s", self.mean_on_s),
+            ("mean_off_s", self.mean_off_s),
+        ] {
+            assert!(
+                mean.is_finite() && mean > 0.0,
+                "tenant {tenant} has burst {field} {mean}: must be finite and > 0"
+            );
+        }
+    }
+}
+
 /// What a tenant's requests do when dispatched.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub enum TenantClass {
@@ -214,7 +236,8 @@ impl ServeConfig {
     /// Panics on an inconsistent configuration (mismatched phase
     /// multiplier lengths, empty tenant/phase lists, a negative or
     /// non-finite base rate or phase multiplier, an SLO target that is
-    /// not finite and positive, a fault scheduled past the horizon, or a
+    /// not finite and positive, a burst whose multiplier or holding-time
+    /// means are out of range, a fault scheduled past the horizon, or a
     /// non-monotone autoscale ladder).
     pub fn validate(&self) {
         assert!(!self.tenants.is_empty(), "need at least one tenant");
@@ -250,6 +273,9 @@ impl ServeConfig {
                 t.name,
                 t.slo_p99_ms
             );
+            if let Some(b) = &t.burst {
+                b.validate(&t.name);
+            }
             assert!(t.workers > 0, "tenant {} has no workers", t.name);
             assert!(t.queue_cap > 0, "tenant {} has no queue", t.name);
         }

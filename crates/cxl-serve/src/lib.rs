@@ -280,4 +280,21 @@ mod tests {
         cfg.tenants[0].slo_p99_ms = 0.0;
         cfg.validate();
     }
+
+    #[test]
+    #[should_panic(expected = "tenant kv0 has burst mean_on_s inf")]
+    fn infinite_burst_mean_is_rejected_before_sampling() {
+        // Straight to the public generator, which skips `validate`.
+        let mut cfg = base_cfg();
+        cfg.tenants[0].burst.as_mut().unwrap().mean_on_s = f64::INFINITY;
+        generate_arrivals(&cfg, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant kv0 has burst mult NaN")]
+    fn nan_burst_multiplier_is_rejected() {
+        let mut cfg = base_cfg();
+        cfg.tenants[0].burst.as_mut().unwrap().mult = f64::NAN;
+        cfg.validate();
+    }
 }

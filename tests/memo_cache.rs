@@ -1,21 +1,14 @@
-//! The `cxl-perf` solve cache must be transparent: repeating a sweep
-//! yields bit-identical figures while the second pass is served from
-//! the cache (hit rate > 0).
-
-use std::sync::Mutex;
+//! Solving is a pure function of `(system, flows)`: repeating a sweep,
+//! or running one system's sweep after another's, yields bit-identical
+//! figures. Nothing is carried between solves, so these tests share no
+//! state and need no serialization.
 
 use cxl_repro::mlc::{Mlc, MlcConfig};
-use cxl_repro::perf::{solve_cache_reset, solve_cache_stats, Distance, MemSystem};
+use cxl_repro::perf::{Distance, MemSystem};
 use cxl_repro::topology::{SncMode, Topology};
-
-/// The solve cache is process-global; serialize the tests that reset it
-/// so the harness's default thread-per-test execution can't interleave
-/// a reset with a counter read.
-static CACHE_LOCK: Mutex<()> = Mutex::new(());
 
 #[test]
 fn fig3_sweep_hits_cache_without_changing_results() {
-    let _guard = CACHE_LOCK.lock().unwrap();
     let sys = MemSystem::new(&Topology::paper_testbed(SncMode::Snc4));
     let mlc = Mlc::new(MlcConfig::default());
     let distances = [
@@ -24,65 +17,32 @@ fn fig3_sweep_hits_cache_without_changing_results() {
         Distance::LocalCxl,
         Distance::RemoteCxl,
     ];
+    let sweep = || -> Vec<String> {
+        distances
+            .iter()
+            .map(|&d| serde_json::to_string(&mlc.fig3_panel(&sys, d)).unwrap())
+            .collect()
+    };
 
-    solve_cache_reset();
-    let first: Vec<String> = distances
-        .iter()
-        .map(|&d| serde_json::to_string(&mlc.fig3_panel(&sys, d)).unwrap())
-        .collect();
-    let after_first = solve_cache_stats();
-    assert!(
-        after_first.misses > 0,
-        "first pass populates the cache: {after_first:?}"
-    );
-
-    let second: Vec<String> = distances
-        .iter()
-        .map(|&d| serde_json::to_string(&mlc.fig3_panel(&sys, d)).unwrap())
-        .collect();
-    let after_second = solve_cache_stats();
-
-    assert_eq!(first, second, "cached results must not change the figures");
-    let hits = after_second.hits - after_first.hits;
-    assert!(hits > 0, "second pass must be served from the cache");
-    assert!(
-        after_second.hit_rate() > 0.0,
-        "hit rate reported: {after_second:?}"
-    );
-    // The repeated sweep solves the exact same flow sets, so the second
-    // pass adds no misses.
-    assert_eq!(
-        after_second.misses, after_first.misses,
-        "identical sweep must not miss"
-    );
+    let first = sweep();
+    let second = sweep();
+    assert_eq!(first, second, "a repeated sweep changed the figures");
 }
 
 #[test]
 fn distinct_systems_do_not_collide() {
-    let _guard = CACHE_LOCK.lock().unwrap();
-    // Two topologies must not share cache entries: the structural
-    // fingerprint keeps their solves apart even when the resulting
-    // figures happen to coincide numerically.
+    // Solving one topology must not leak into another's results, even
+    // when the figures of the two happen to coincide numerically.
     let snc4 = MemSystem::new(&Topology::paper_testbed(SncMode::Snc4));
     let snc_off = MemSystem::new(&Topology::paper_testbed(SncMode::Disabled));
     let mlc = Mlc::new(MlcConfig::default());
 
-    // Ground truth: the SNC-off panel solved against a fresh cache.
-    solve_cache_reset();
     let fresh = serde_json::to_string(&mlc.fig3_panel(&snc_off, Distance::LocalCxl)).unwrap();
-
-    // Same panel solved after the cache was populated by the SNC-4
-    // system: a fingerprint collision would serve SNC-4 entries here
-    // and change the output (or skip the misses).
-    solve_cache_reset();
     let _ = mlc.fig3_panel(&snc4, Distance::LocalCxl);
-    let before = solve_cache_stats();
-    let after_warm = serde_json::to_string(&mlc.fig3_panel(&snc_off, Distance::LocalCxl)).unwrap();
-    let after = solve_cache_stats();
+    let after_other = serde_json::to_string(&mlc.fig3_panel(&snc_off, Distance::LocalCxl)).unwrap();
 
-    assert_eq!(fresh, after_warm, "warm cache must not alter results");
-    assert!(
-        after.misses > before.misses,
-        "distinct topologies must not share entries: {before:?} -> {after:?}"
+    assert_eq!(
+        fresh, after_other,
+        "another system's solves altered results"
     );
 }
