@@ -209,9 +209,10 @@ enum Phase {
 pub struct HeapWorkload {
     sys: MemSystem,
     tm: TierManager,
+    /// The heap's objects. Graph page `i` is tier page `PageId(i)`: the
+    /// graph's pages are the first the fresh tier manager allocates, in
+    /// index order, and it hands out dense ids it never reuses.
     graph: ObjectGraph,
-    /// Graph page index → tier page.
-    pages: Vec<PageId>,
     nursery: VecDeque<PageId>,
     params: HeapParams,
     segregate: bool,
@@ -283,25 +284,24 @@ impl HeapWorkload {
             .find(|n| n.socket == socket && n.tier == MemoryTier::LocalDram)
             .map(|n| n.id);
         let young_page_start = graph.first_page[graph.young_start as usize];
-        let pages: Vec<PageId> = (0..graph.page_count)
-            .map(|p| {
-                let prefer = if !segregate {
-                    None
-                } else if p >= young_page_start {
-                    young_node
-                } else {
-                    old_node
-                };
-                match prefer {
-                    Some(n) => tm
-                        .alloc_preferring(n, SimTime::ZERO)
-                        .expect("heap does not fit the configured capacities"),
-                    None => tm
-                        .alloc(SimTime::ZERO)
-                        .expect("heap does not fit the configured capacities"),
-                }
-            })
-            .collect();
+        for p in 0..graph.page_count {
+            let prefer = if !segregate {
+                None
+            } else if p >= young_page_start {
+                young_node
+            } else {
+                old_node
+            };
+            let page = match prefer {
+                Some(n) => tm
+                    .alloc_preferring(n, SimTime::ZERO)
+                    .expect("heap does not fit the configured capacities"),
+                None => tm
+                    .alloc(SimTime::ZERO)
+                    .expect("heap does not fit the configured capacities"),
+            };
+            debug_assert_eq!(page, PageId(p as u64), "graph page ids are dense");
+        }
         tm.drain_epoch(); // Discard load-phase traffic.
         let is_top = sys
             .nodes()
@@ -315,7 +315,6 @@ impl HeapWorkload {
             sys,
             tm,
             graph,
-            pages,
             nursery: VecDeque::new(),
             params,
             segregate,
@@ -370,6 +369,11 @@ impl HeapWorkload {
         &self.tm
     }
 
+    /// The tier page holding object `obj`'s header.
+    fn page_of(&self, obj: u32) -> PageId {
+        PageId(self.graph.first_page[obj as usize] as u64)
+    }
+
     /// Touches one page, pricing the access at the current epoch
     /// latencies; `far` reports whether it landed off the top tier.
     fn touch(&mut self, page: PageId, rw: Rw, bytes: u64, far: &mut bool) -> f64 {
@@ -406,7 +410,7 @@ impl HeapWorkload {
         let mut far = false;
         let mut touches = 0u64;
         for _ in 0..self.params.chase_len {
-            let page = self.pages[self.graph.first_page[cur as usize] as usize];
+            let page = self.page_of(cur);
             let rw = if self.rng.gen_bool(self.params.write_fraction) {
                 Rw::Write
             } else {
@@ -467,13 +471,13 @@ impl HeapWorkload {
         let mut ns = self.params.trace_cpu_ns_per_obj;
         let mut far = false;
         let mut touches = 1u64;
-        let page = self.pages[self.graph.first_page[id as usize] as usize];
+        let page = self.page_of(id);
         ns += self.touch(page, Rw::Read, self.params.field_bytes, &mut far);
         let start = self.graph.edge_index[id as usize] as usize;
         let end = self.graph.edge_index[id as usize + 1] as usize;
         for ei in start..end {
             let t = self.graph.edges[ei];
-            let tpage = self.pages[self.graph.first_page[t as usize] as usize];
+            let tpage = self.page_of(t);
             // Mark-bit check: a header read on the referent.
             ns += self.touch(tpage, Rw::Read, 8, &mut far);
             touches += 1;
@@ -572,7 +576,7 @@ impl HeapWorkload {
                 ts.visited[r as usize] = true;
                 ts.visited_count += 1;
                 ts.queue.push_back(r);
-                let page = self.pages[self.graph.first_page[r as usize] as usize];
+                let page = self.page_of(r);
                 ns += self.touch(page, Rw::Write, 8, &mut far);
             }
         }
@@ -703,11 +707,10 @@ impl HeapWorkload {
         let failed_node = w.evacuation.map(|r| r.node);
         let stranded = match failed_node {
             None => 0,
-            Some(node) => w
-                .pages
-                .iter()
-                .chain(w.nursery.iter())
-                .filter(|&&p| w.tm.location(p) == Location::Node(node))
+            Some(node) => (0..w.graph.page_count as u64)
+                .map(PageId)
+                .chain(w.nursery.iter().copied())
+                .filter(|&p| w.tm.location(p) == Location::Node(node))
                 .count() as u64,
         };
         cxl_obs::counter_max("heap/stranded_pages", stranded);

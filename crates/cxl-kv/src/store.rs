@@ -166,14 +166,14 @@ pub struct KvStore {
     sys: MemSystem,
     tm: TierManager,
     cfg: KvConfig,
-    /// Page directory: data page index -> allocated page id.
-    pages: Vec<PageId>,
     /// Per-node average access latency, ns, refreshed every epoch.
     lat_ns: Vec<f64>,
     /// CLOCK ring of memory-resident pages for `maxmemory` eviction.
     ring: VecDeque<PageId>,
-    /// CLOCK reference bit per page, indexed by `PageId.0`: the store's
-    /// tier manager hands out dense ids and never reuses one.
+    /// CLOCK reference bit per data page. The store allocates every
+    /// page of its own tier manager, in data page order, and the
+    /// manager hands out dense ids it never reuses, so data page `i` is
+    /// `PageId(i)` and no directory is kept.
     referenced: Vec<bool>,
     flash: bool,
     now: SimTime,
@@ -211,7 +211,8 @@ impl KvStore {
             .alloc_n(n_pages, SimTime::ZERO)
             .expect("dataset does not fit; enable flash or enlarge nodes");
         let mut ring = VecDeque::new();
-        for &p in &pages {
+        for (i, &p) in pages.iter().enumerate() {
+            debug_assert_eq!(p, PageId(i as u64), "data page ids are dense");
             if !tm.location(p).is_ssd() {
                 ring.push_back(p);
             }
@@ -222,7 +223,6 @@ impl KvStore {
             sys,
             tm,
             cfg,
-            pages,
             lat_ns,
             ring,
             referenced: vec![false; n_pages as usize],
@@ -356,20 +356,28 @@ impl KvStore {
         ((key * self.cfg.value_size) / self.tm.page_size()) as usize
     }
 
-    /// Ensures the page directory covers `index` (workload D growth).
+    /// Data pages allocated so far.
+    fn page_count(&self) -> usize {
+        self.referenced.len()
+    }
+
+    /// Allocates data pages up to `index` (workload D growth).
     fn ensure_page(&mut self, index: usize) {
-        while self.pages.len() <= index {
+        while self.page_count() <= index {
             let p = self
                 .tm
                 .alloc(self.now)
                 .expect("insert failed: out of memory without flash");
+            debug_assert_eq!(
+                p,
+                PageId(self.page_count() as u64),
+                "data page ids are dense"
+            );
             if !self.tm.location(p).is_ssd() {
                 self.ring.push_back(p);
             }
-            debug_assert_eq!(p.0 as usize, self.referenced.len(), "page ids are dense");
             self.referenced.push(false);
             self.freq.push(0);
-            self.pages.push(p);
         }
     }
 
@@ -480,7 +488,7 @@ impl KvStore {
     /// Prices a single-page access: touch, fault costs, SSD caching.
     /// Returns `(service_ns, hit_ssd)` for that page.
     fn access_page(&mut self, idx: usize, rw: Rw, chases: f64, bytes: u64) -> (f64, bool) {
-        let page = self.pages[idx];
+        let page = PageId(idx as u64);
         let outcome = self.tm.touch(page, rw, bytes, self.now);
         self.mark_referenced(page);
         if self.cfg.eviction == EvictionPolicy::Lfu && self.flash {
@@ -564,7 +572,7 @@ impl KvStore {
                 // streaming cost (two dependent accesses) per page after.
                 let last_key = start + len as u64 - 1;
                 let first = self.page_index_of_key(start);
-                let last = self.page_index_of_key(last_key).min(self.pages.len() - 1);
+                let last = self.page_index_of_key(last_key).min(self.page_count() - 1);
                 for (i, pg) in (first..=last).enumerate() {
                     let c = if i == 0 { chases } else { 2.0 };
                     let (a, h) = self.access_page(pg, Rw::Read, c, self.cfg.value_size);
@@ -1000,9 +1008,9 @@ mod tests {
     #[test]
     fn workload_d_grows_the_dataset() {
         let mut s = mmem_store();
-        let pages_before = s.pages.len();
+        let pages_before = s.page_count();
         s.run(Workload::D, OPS);
-        assert!(s.pages.len() > pages_before);
+        assert!(s.page_count() > pages_before);
     }
 
     #[test]

@@ -74,16 +74,19 @@ impl PolicyCursor {
         }
     }
 
-    /// Returns the candidate node order for the next allocation and
-    /// advances interleave state.
-    pub(crate) fn next_candidates(&mut self) -> Vec<NodeId> {
+    /// Returns the first node in the next allocation's candidate order
+    /// for which `fits` holds, and advances the interleave state whether
+    /// or not one does.
+    ///
+    /// The order is the policy's: the bound nodes; the preferred node
+    /// then its fallbacks; or, for N:M interleave, the selected tier
+    /// round-robin from its cursor, then the other tier in list order.
+    pub(crate) fn next_fit(&mut self, mut fits: impl FnMut(NodeId) -> bool) -> Option<NodeId> {
         match &self.policy {
-            AllocPolicy::Bind(nodes) => nodes.clone(),
-            AllocPolicy::Preferred { node, fallback } => {
-                let mut v = vec![*node];
-                v.extend_from_slice(fallback);
-                v
-            }
+            AllocPolicy::Bind(nodes) => nodes.iter().copied().find(|&n| fits(n)),
+            AllocPolicy::Preferred { node, fallback } => std::iter::once(*node)
+                .chain(fallback.iter().copied())
+                .find(|&n| fits(n)),
             AllocPolicy::InterleaveNm { top, low, n, m } => {
                 let in_top = self.cycle_pos < *n;
                 self.cycle_pos = (self.cycle_pos + 1) % (n + m);
@@ -98,12 +101,13 @@ impl PolicyCursor {
                     self.low_rr = (self.low_rr + 1) % low.len().max(1);
                     (low, top, rr)
                 };
-                let mut v = Vec::with_capacity(primary.len() + secondary.len());
-                for i in 0..primary.len() {
-                    v.push(primary[(rr + i) % primary.len()]);
-                }
-                v.extend_from_slice(secondary);
-                v
+                let (before, from_rr) = primary.split_at(rr);
+                from_rr
+                    .iter()
+                    .chain(before)
+                    .chain(secondary)
+                    .copied()
+                    .find(|&n| fits(n))
             }
         }
     }
@@ -113,11 +117,30 @@ impl PolicyCursor {
 mod tests {
     use super::*;
 
+    /// The full candidate order of the next allocation: every node
+    /// `next_fit` offers when none fits.
+    fn order(c: &mut PolicyCursor) -> Vec<NodeId> {
+        let mut seen = Vec::new();
+        let fit = c.next_fit(|n| {
+            seen.push(n);
+            false
+        });
+        assert_eq!(fit, None);
+        seen
+    }
+
+    /// The node the next allocation lands on when every node has room.
+    fn first(c: &mut PolicyCursor) -> NodeId {
+        c.next_fit(|_| true).expect("policy has a node")
+    }
+
     #[test]
     fn bind_order_is_stable() {
         let mut c = PolicyCursor::new(AllocPolicy::Bind(vec![NodeId(2), NodeId(5)]));
-        assert_eq!(c.next_candidates(), vec![NodeId(2), NodeId(5)]);
-        assert_eq!(c.next_candidates(), vec![NodeId(2), NodeId(5)]);
+        assert_eq!(order(&mut c), vec![NodeId(2), NodeId(5)]);
+        assert_eq!(order(&mut c), vec![NodeId(2), NodeId(5)]);
+        // The first node that fits wins.
+        assert_eq!(c.next_fit(|n| n == NodeId(5)), Some(NodeId(5)));
     }
 
     #[test]
@@ -126,7 +149,7 @@ mod tests {
             node: NodeId(1),
             fallback: vec![NodeId(0)],
         });
-        assert_eq!(c.next_candidates(), vec![NodeId(1), NodeId(0)]);
+        assert_eq!(order(&mut c), vec![NodeId(1), NodeId(0)]);
     }
 
     #[test]
@@ -139,7 +162,7 @@ mod tests {
         ));
         let mut top = 0;
         for _ in 0..400 {
-            if c.next_candidates()[0] == NodeId(0) {
+            if first(&mut c) == NodeId(0) {
                 top += 1;
             }
         }
@@ -154,10 +177,28 @@ mod tests {
             2,
             1,
         ));
-        let a = c.next_candidates()[0];
-        let b = c.next_candidates()[0];
+        let a = first(&mut c);
+        let b = first(&mut c);
         assert_ne!(a, b);
-        assert_eq!(c.next_candidates()[0], NodeId(8));
+        assert_eq!(first(&mut c), NodeId(8));
+    }
+
+    #[test]
+    fn interleave_falls_through_to_the_other_tier_in_order() {
+        let mut c = PolicyCursor::new(AllocPolicy::interleave(
+            vec![NodeId(0), NodeId(1), NodeId(2)],
+            vec![NodeId(8), NodeId(9)],
+            2,
+            1,
+        ));
+        // Top tier from its round-robin cursor, then the low tier as
+        // listed; the cursor advances even when nothing fits.
+        assert_eq!(order(&mut c), [0, 1, 2, 8, 9].map(NodeId));
+        assert_eq!(order(&mut c), [1, 2, 0, 8, 9].map(NodeId));
+        assert_eq!(order(&mut c), [8, 9, 0, 1, 2].map(NodeId));
+        assert_eq!(order(&mut c), [2, 0, 1, 8, 9].map(NodeId));
+        // A full selected tier falls through to the other one.
+        assert_eq!(c.next_fit(|n| n.0 >= 8), Some(NodeId(8)));
     }
 
     #[test]
