@@ -37,24 +37,15 @@
 use serde::Serialize;
 
 use cxl_ctl::{run_on_engine, Controller, ControllerConfig, CtlError, KnobSpec, Plant};
-use cxl_fault::FaultKind;
-use cxl_kv::{KvConfig, KvStore};
 use cxl_llm::{LlmCluster, LlmConfig, LlmPlacement};
 use cxl_pool::{HostId, PoolManager};
+use cxl_serve::lease::{self, LeasedKv};
 use cxl_sim::SimTime;
 use cxl_stats::report::{fmt_f64, Table};
-use cxl_tier::{AllocPolicy, HotPageConfig, MigrationMode, TierConfig};
-use cxl_topology::{NodeId, SncMode, Topology};
 use cxl_ycsb::Workload;
 
 use crate::runner::Runner;
 
-/// SNC-disabled paper testbed: 0,1 = DRAM sockets; 2,3 = CXL on s0.
-const DRAM0: NodeId = NodeId(0);
-/// The fixed expander that dies mid-run.
-const CXL_FIXED: NodeId = NodeId(2);
-/// The lease-backed expander whose capacity the pool knob controls.
-const CXL_LEASED: NodeId = NodeId(3);
 /// The single KV host on the pool.
 const HOST: HostId = HostId(0);
 
@@ -359,11 +350,8 @@ fn window_mean(objs: &[f64], end: u64, window: usize) -> f64 {
 
 /// The flash-backed KeyDB store plus the pool lease it draws on.
 struct KvPlant {
-    store: KvStore,
-    /// Current (possibly degraded) topology.
-    topo: Topology,
+    kv: LeasedKv,
     pool: PoolManager,
-    slab_bytes: u64,
     held_slabs: u64,
     ticks_done: u64,
     ticks_per_phase: u64,
@@ -373,82 +361,25 @@ struct KvPlant {
 
 impl KvPlant {
     fn new(params: &AutotuneParams, seed: u64) -> Self {
-        let topo = Topology::paper_testbed(SncMode::Disabled);
-        let dataset_bytes = params.record_count * 1024;
-        let mut tc = TierConfig::bind(vec![DRAM0]);
-        tc.policy = AllocPolicy::interleave(vec![DRAM0], vec![CXL_FIXED, CXL_LEASED], 1, 1);
         // DRAM + the fixed expander barely cover the initial dataset;
         // workload-D growth and any evacuation must go to the leased
         // expander or spill to SSD.
-        tc.capacity_override = vec![
-            (DRAM0, dataset_bytes * 9 / 20),
-            (NodeId(1), 0),
-            (CXL_FIXED, dataset_bytes * 5 / 8),
-            (CXL_LEASED, 0),
-        ];
-        tc.migration = MigrationMode::HotPageSelection(HotPageConfig {
-            promote_rate_limit_bytes_per_sec: PROMO_MIB[1] * 1024.0 * 1024.0,
-            ..Default::default()
-        });
-        let kv_cfg = KvConfig {
-            record_count: params.record_count,
+        let kv = LeasedKv::new(
+            params.record_count,
+            (9, 20),
+            (5, 8),
+            PROMO_MIB[1] * 1024.0 * 1024.0,
             seed,
-            ..Default::default()
-        };
-        let store = KvStore::new(&topo, tc, kv_cfg, true);
-        // One slab = 1/8 of the dataset, rounded to whole pages so a
-        // grown node's page capacity matches the lease exactly.
-        let page = store.tier().page_size();
-        let slab_bytes = ((dataset_bytes / 8) / page).max(1) * page;
+        );
         Self {
-            store,
-            topo,
+            kv,
             pool: PoolManager::new(POOL_SLABS, 1, 0.25),
-            slab_bytes,
             held_slabs: 0,
             ticks_done: 0,
             ticks_per_phase: params.ticks_per_phase,
             ops_per_tick: params.ops_per_tick,
             lease_cost_kops: params.lease_cost_kops,
         }
-    }
-
-    /// Moves the lease to `target` slabs: grows through a pool grant
-    /// (all-or-nothing — a partial grant is returned and the action
-    /// rejected), shrinks through the rate-limited evacuation path.
-    fn set_lease(&mut self, target: u64) -> Result<(), CtlError> {
-        let cur = self.held_slabs;
-        if target == cur {
-            return Ok(());
-        }
-        if target > cur {
-            let want = target - cur;
-            let resp = self.pool.request(HOST, want, self.store.now());
-            let granted = resp.outcome.granted_now();
-            if granted < want {
-                self.pool.cancel_queued(HOST);
-                if granted > 0 {
-                    self.pool.release(HOST, granted, self.store.now());
-                }
-                return Err(CtlError::Rejected(format!(
-                    "pool granted {granted}/{want} slabs"
-                )));
-            }
-            if let Err(e) = self
-                .store
-                .grow_expander(CXL_LEASED, target * self.slab_bytes)
-            {
-                self.pool.release(HOST, want, self.store.now());
-                return Err(CtlError::Rejected(e.to_string()));
-            }
-        } else {
-            self.store
-                .shrink_expander(&self.topo, CXL_LEASED, target * self.slab_bytes)
-                .map_err(|e| CtlError::Rejected(e.to_string()))?;
-            self.pool.release(HOST, cur - target, self.store.now());
-        }
-        self.held_slabs = target;
-        Ok(())
     }
 
     /// Runs one control interval of the phased trace and returns the
@@ -461,27 +392,28 @@ impl KvPlant {
             1 => Workload::A,
             _ => Workload::D,
         };
-        let res = self.store.run(workload, self.ops_per_tick);
+        let res = self.kv.store.run(workload, self.ops_per_tick);
         res.kops() - self.lease_cost_kops * self.held_slabs as f64
-    }
-
-    /// Kills the fixed expander: the fault lands on the topology, the
-    /// store fences and drains the node under the rate limiter.
-    fn inject_fault(&mut self) {
-        FaultKind::ExpanderOffline { node: CXL_FIXED }
-            .apply(&mut self.topo)
-            .expect("offline fault is valid on the paper testbed");
-        self.store
-            .fail_expander(&self.topo, CXL_FIXED)
-            .expect("evacuation survives with flash on");
     }
 }
 
 impl Plant for KvPlant {
     fn apply(&mut self, knob: usize, setting: usize) -> Result<(), CtlError> {
         match knob {
-            0 => self.set_lease(LEASE_SLABS[setting]),
+            // The lease moves all or nothing (see `lease::resize`).
+            0 => {
+                let now = self.kv.store.now();
+                lease::resize(
+                    &mut self.pool,
+                    HOST,
+                    &mut self.held_slabs,
+                    LEASE_SLABS[setting],
+                    now,
+                    Some(&mut self.kv),
+                )
+            }
             1 => self
+                .kv
                 .store
                 .set_promote_rate(PROMO_MIB[setting] * 1024.0 * 1024.0)
                 .map_err(|e| CtlError::Rejected(e.to_string())),
@@ -490,29 +422,7 @@ impl Plant for KvPlant {
     }
 
     fn check_invariants(&self) -> Result<(), String> {
-        let page = self.store.tier().page_size();
-        let (used, cap) = self.store.tier().node_usage(CXL_LEASED);
-        let expect_cap = self.held_slabs * self.slab_bytes / page;
-        if cap != expect_cap {
-            return Err(format!(
-                "leased node capacity {cap} pages != {expect_cap} for {} slabs",
-                self.held_slabs
-            ));
-        }
-        if used > cap {
-            return Err(format!("leased node holds {used} pages > capacity {cap}"));
-        }
-        if self.pool.granted_slabs(HOST) != self.held_slabs {
-            return Err(format!(
-                "pool grant {} != held lease {}",
-                self.pool.granted_slabs(HOST),
-                self.held_slabs
-            ));
-        }
-        if self.pool.used_slabs() > self.pool.total_slabs() {
-            return Err("pool oversubscribed".to_string());
-        }
-        Ok(())
+        lease::audit(&self.pool, HOST, self.held_slabs, Some(&self.kv))
     }
 }
 
@@ -611,7 +521,7 @@ fn run_kv_adaptive(params: AutotuneParams, seed: u64) -> KvCell {
         move |e| {
             e.schedule_at(fault_at, |e| {
                 let s = e.state_mut();
-                s.plant.inject_fault();
+                s.plant.kv.fail_fixed_expander();
                 s.controller.notify_disturbance();
             });
         },
@@ -643,7 +553,7 @@ fn run_kv_static(
     for t in 1..=params.kv_ticks() {
         objectives.push(plant.tick());
         if t == params.fault_tick() {
-            plant.inject_fault();
+            plant.kv.fail_fixed_expander();
         }
     }
     make_kv_cell(label, false, objectives, &plant, None, &params)

@@ -26,7 +26,6 @@ pub mod balancer;
 pub mod calib;
 pub mod colocation;
 pub mod cost;
-pub mod error;
 pub mod faults;
 pub mod fleet;
 pub mod heap;

@@ -18,10 +18,9 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::Serialize;
 
-use cxl_perf::{AccessMix, MemSystem, ResourceKind};
 use cxl_sim::{Engine, SimTime};
 use cxl_stats::Histogram;
-use cxl_tier::{EvacuationReport, Location, PageId, Rw, TierConfig, TierManager};
+use cxl_tier::{EvacuationReport, Location, PageId, PricedTier, Rw, TierConfig, TierManager};
 use cxl_topology::{MemoryTier, NodeId, Topology};
 
 use crate::graph::{GraphConfig, ObjectGraph};
@@ -52,7 +51,10 @@ pub struct HeapParams {
     pub alloc_every_ops: u64,
     /// Live nursery pages kept before the oldest is freed.
     pub nursery_pages: u64,
-    /// Touches between epoch repricings (flow solve + tier tick).
+    /// Epoch length for repricing (flow solve + tier tick): mutator ops
+    /// plus traced objects, checked once per engine chunk, so an epoch
+    /// closes at the end of the first chunk that reaches it. Must be
+    /// positive.
     pub epoch_ops: u64,
     /// Fixed CPU cost per mutator op, ns.
     pub cpu_ns_per_op: f64,
@@ -207,22 +209,20 @@ enum Phase {
 /// The workload: a tiered heap plus the phase state machine the engine
 /// pumps.
 pub struct HeapWorkload {
-    sys: MemSystem,
-    tm: TierManager,
+    mem: PricedTier,
     /// The heap's objects. Graph page `i` is tier page `PageId(i)`: the
     /// graph's pages are the first the fresh tier manager allocates, in
     /// index order, and it hands out dense ids it never reuses.
     graph: ObjectGraph,
     nursery: VecDeque<PageId>,
     params: HeapParams,
-    segregate: bool,
+    /// DRAM node nursery pages prefer, when segregating generations.
+    nursery_node: Option<NodeId>,
     fault: Option<FaultPlan>,
     base_topo: Topology,
     /// True once per-node: is this a top-tier (DRAM) node.
     is_top: Vec<bool>,
-    lat_ns: Vec<f64>,
     now: SimTime,
-    epoch_start: SimTime,
     ops_since_epoch: u64,
     rng: SmallRng,
     cycle: u32,
@@ -260,7 +260,8 @@ impl HeapWorkload {
     ///
     /// # Panics
     ///
-    /// Panics if the heap does not fit the configured capacities.
+    /// Panics if `params.epoch_ops` is zero, or if the heap does not fit
+    /// the configured capacities.
     pub fn new(
         topo: &Topology,
         tier: TierConfig,
@@ -268,10 +269,14 @@ impl HeapWorkload {
         segregate: bool,
         fault: Option<FaultPlan>,
     ) -> Self {
+        assert!(
+            params.epoch_ops > 0,
+            "HeapParams::epoch_ops must be positive"
+        );
         let page_size = tier.page_size;
         let graph = ObjectGraph::build(&params.graph, page_size, params.seed);
-        let sys = MemSystem::new(topo);
-        let mut tm = TierManager::new(topo, tier);
+        let mut mem = PricedTier::new(topo, tier);
+        let sys = mem.system();
         let socket = sys.sockets()[0];
         let old_node = sys
             .nodes()
@@ -283,6 +288,12 @@ impl HeapWorkload {
             .iter()
             .find(|n| n.socket == socket && n.tier == MemoryTier::LocalDram)
             .map(|n| n.id);
+        let is_top = sys
+            .nodes()
+            .iter()
+            .map(|n| n.tier == MemoryTier::LocalDram)
+            .collect();
+        let tm = mem.tier_mut();
         let young_page_start = graph.first_page[graph.young_start as usize];
         for p in 0..graph.page_count {
             let prefer = if !segregate {
@@ -303,27 +314,18 @@ impl HeapWorkload {
             debug_assert_eq!(page, PageId(p as u64), "graph page ids are dense");
         }
         tm.drain_epoch(); // Discard load-phase traffic.
-        let is_top = sys
-            .nodes()
-            .iter()
-            .map(|n| n.tier == MemoryTier::LocalDram)
-            .collect();
-        let lat_ns = Self::idle_latency_table(&sys);
         let rng_seed = cxl_stats::rng::derive_seed(params.seed, "heap/mutator");
         let mutator_ops = params.mutator_ops_per_cycle;
         Self {
-            sys,
-            tm,
+            mem,
             graph,
             nursery: VecDeque::new(),
             params,
-            segregate,
+            nursery_node: young_node.filter(|_| segregate),
             fault,
             base_topo: topo.clone(),
             is_top,
-            lat_ns,
             now: SimTime::ZERO,
-            epoch_start: SimTime::ZERO,
             ops_since_epoch: 0,
             rng: {
                 use rand::SeedableRng;
@@ -354,19 +356,9 @@ impl HeapWorkload {
         }
     }
 
-    fn idle_latency_table(sys: &MemSystem) -> Vec<f64> {
-        sys.nodes()
-            .iter()
-            .map(|n| {
-                sys.try_idle_latency_ns(sys.sockets()[0], n.id, AccessMix::read_only())
-                    .unwrap_or(f64::INFINITY)
-            })
-            .collect()
-    }
-
     /// The tier manager (inspection in tests and reports).
     pub fn tier(&self) -> &TierManager {
-        &self.tm
+        self.mem.tier()
     }
 
     /// The tier page holding object `obj`'s header.
@@ -377,14 +369,14 @@ impl HeapWorkload {
     /// Touches one page, pricing the access at the current epoch
     /// latencies; `far` reports whether it landed off the top tier.
     fn touch(&mut self, page: PageId, rw: Rw, bytes: u64, far: &mut bool) -> f64 {
-        let outcome = self.tm.touch(page, rw, bytes, self.now);
+        let outcome = self.mem.tier_mut().touch(page, rw, bytes, self.now);
         let mut ns = outcome.fault_cost.as_ns() as f64;
         if outcome.promoted {
             ns += self.params.promote_stall_ns;
         }
         match outcome.location {
             Location::Node(node) => {
-                ns += self.lat_ns[node.0];
+                ns += self.mem.latency_ns(node);
                 *far |= !self.is_top[node.0];
             }
             Location::Ssd => {
@@ -430,29 +422,18 @@ impl HeapWorkload {
             touches += 1;
         }
         if self.params.alloc_every_ops > 0 && op_index.is_multiple_of(self.params.alloc_every_ops) {
-            let page = if self.segregate {
-                let socket = self.sys.sockets()[0];
-                let young = self
-                    .sys
-                    .nodes()
-                    .iter()
-                    .find(|nd| nd.socket == socket && nd.tier == MemoryTier::LocalDram)
-                    .map(|nd| nd.id);
-                match young {
-                    Some(nd) => self.tm.alloc_preferring(nd, self.now).ok(),
-                    None => self.tm.alloc(self.now).ok(),
-                }
-            } else {
-                self.tm.alloc(self.now).ok()
+            let page = match self.nursery_node {
+                Some(nd) => self.mem.tier_mut().alloc_preferring(nd, self.now).ok(),
+                None => self.mem.tier_mut().alloc(self.now).ok(),
             };
             if let Some(p) = page {
                 self.nursery_allocated += 1;
-                ns += self.touch(p, Rw::Write, self.tm.page_size(), &mut far);
+                ns += self.touch(p, Rw::Write, self.tier().page_size(), &mut far);
                 touches += 1;
                 self.nursery.push_back(p);
                 if self.nursery.len() as u64 > self.params.nursery_pages {
                     let dead = self.nursery.pop_front().expect("nursery non-empty");
-                    self.tm.free(dead);
+                    self.mem.tier_mut().free(dead);
                     self.nursery_freed += 1;
                 }
             }
@@ -498,41 +479,11 @@ impl HeapWorkload {
         ns
     }
 
-    /// Repricing: drain the traffic epoch, solve for per-node
-    /// latencies, feed DRAM utilization back, and run tier periodic
-    /// work. Mirrors the KV store's epoch loop.
-    fn refresh_epoch(&mut self) {
-        let dur = self.now.saturating_sub(self.epoch_start);
-        let epoch = self.tm.drain_epoch();
-        if dur > SimTime::ZERO {
-            let mut flows = epoch.flows(self.sys.sockets()[0], dur, false);
-            flows.retain(|f| self.sys.node_online(f.node));
-            if !flows.is_empty() {
-                let res = self.sys.solve(&flows);
-                for (f, o) in flows.iter().zip(res.flows.iter()) {
-                    self.lat_ns[f.node.0] = o.latency_ns;
-                }
-                let socket = self.sys.sockets()[0];
-                if let Some(dram) = self
-                    .sys
-                    .nodes()
-                    .iter()
-                    .find(|n| n.socket == socket && n.tier == MemoryTier::LocalDram)
-                {
-                    self.tm.set_dram_bandwidth_util(
-                        res.utilization_of(ResourceKind::DdrGroup(dram.id)),
-                    );
-                }
-            }
-        }
-        self.tm.tick(self.now);
-        self.epoch_start = self.now;
-        self.ops_since_epoch = 0;
-    }
-
+    /// Closes the epoch once it has reached `epoch_ops` ops.
     fn maybe_refresh(&mut self) {
         if self.ops_since_epoch >= self.params.epoch_ops {
-            self.refresh_epoch();
+            self.mem.reprice(self.now);
+            self.ops_since_epoch = 0;
         }
     }
 
@@ -544,20 +495,17 @@ impl HeapWorkload {
             .apply(&mut degraded)
             .expect("fault plan references a CXL node");
         let report = self
-            .tm
-            .evacuate(plan.node, self.now)
+            .mem
+            .evacuate(&degraded, plan.node, &mut self.now)
             .expect("evacuation succeeds (survivors or SSD must have room)");
-        self.now = self.now.max(report.completed_at);
-        self.sys = MemSystem::new(&degraded);
-        self.lat_ns = Self::idle_latency_table(&self.sys);
+        self.ops_since_epoch = 0;
         self.evacuation = Some(report);
         cxl_obs::counter_add("heap/fault_evacuated_pages", report.total_pages());
-        self.refresh_epoch();
     }
 
     fn snapshot_phase_start(&mut self) {
-        self.phase_promotions_start = self.tm.stats().promotions;
-        self.phase_demotions_start = self.tm.stats().demotions;
+        self.phase_promotions_start = self.tier().stats().promotions;
+        self.phase_demotions_start = self.tier().stats().demotions;
     }
 
     fn start_trace(&mut self) {
@@ -584,7 +532,7 @@ impl HeapWorkload {
         // remembered set's young side).
         let nursery: Vec<PageId> = self.nursery.iter().copied().collect();
         for p in nursery {
-            ns += self.touch(p, Rw::Read, self.tm.page_size(), &mut far);
+            ns += self.touch(p, Rw::Read, self.tier().page_size(), &mut far);
         }
         self.now += SimTime::from_ns_f64(ns);
         self.phase = Phase::Trace(ts);
@@ -593,8 +541,8 @@ impl HeapWorkload {
     /// Ends the current phase, folding its promotion/demotion deltas
     /// into the right accumulator.
     fn end_phase(&mut self, was_trace: bool) {
-        let promos = self.tm.stats().promotions - self.phase_promotions_start;
-        let demos = self.tm.stats().demotions - self.phase_demotions_start;
+        let promos = self.tier().stats().promotions - self.phase_promotions_start;
+        let demos = self.tier().stats().demotions - self.phase_demotions_start;
         if was_trace {
             self.trace_promotions += promos;
             self.trace_demotions += demos;
@@ -710,7 +658,7 @@ impl HeapWorkload {
             Some(node) => (0..w.graph.page_count as u64)
                 .map(PageId)
                 .chain(w.nursery.iter().copied())
-                .filter(|&p| w.tm.location(p) == Location::Node(node))
+                .filter(|&p| w.tier().location(p) == Location::Node(node))
                 .count() as u64,
         };
         cxl_obs::counter_max("heap/stranded_pages", stranded);
@@ -733,7 +681,7 @@ impl HeapWorkload {
             nursery_freed: w.nursery_freed,
             evacuation: w.evacuation,
             stranded_pages: stranded,
-            tier: w.tm.stats().clone(),
+            tier: w.mem.tier().stats().clone(),
             elapsed: w.now,
         }
     }
@@ -833,5 +781,16 @@ mod tests {
         assert_eq!(r.objects_traced, 0);
         assert_eq!(r.trace.count(), 0);
         assert_eq!(r.trace_promotions, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "HeapParams::epoch_ops must be positive")]
+    fn zero_epoch_ops_is_rejected() {
+        let topo = Topology::paper_testbed(SncMode::Disabled);
+        let params = HeapParams {
+            epoch_ops: 0,
+            ..HeapParams::smoke()
+        };
+        HeapWorkload::new(&topo, lean_tier(4096, 4096), params, false, None);
     }
 }

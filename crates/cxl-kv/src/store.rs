@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use std::collections::VecDeque;
 
-use cxl_perf::{MemSystem, ResourceKind, SSD_READ_LATENCY_NS};
+use cxl_perf::SSD_READ_LATENCY_NS;
 
 /// Extra software latency per operation when FLASH mode is on: KeyDB
 /// routes reads through the RocksDB memtable/block-cache path even for
@@ -15,12 +15,14 @@ const FLASH_READPATH_NS: f64 = 1_500.0;
 /// filter block lookups and read amplification.
 const ROCKSDB_MISS_NS: f64 = 30_000.0;
 use cxl_sim::{MultiServer, SimTime};
-use cxl_stats::Histogram;
+use cxl_stats::{Exponential, Histogram};
 use cxl_tier::{
-    EvacuationReport, Location, PageId, Rw, TierConfig, TierError, TierManager, TierStats,
+    EvacuationReport, Location, PageId, PricedTier, Rw, TierConfig, TierError, TierManager,
+    TierStats,
 };
 use cxl_topology::{NodeId, Topology};
 use cxl_ycsb::{Generator, GeneratorConfig, Op, Workload};
+use rand::rngs::SmallRng;
 
 /// Ops pre-generated per block in the run loops. Blocks amortize the
 /// generator's per-op obs flush ([`Generator::batch`] tallies counters
@@ -102,7 +104,8 @@ pub struct KvConfig {
     pub client_concurrency: usize,
     /// Cost profile.
     pub profile: MemProfile,
-    /// Refresh contention-priced latencies every this many operations.
+    /// Refresh contention-priced latencies every this many operations
+    /// (counted per run, or per serving session). Must be positive.
     pub epoch_ops: u64,
     /// FLASH-mode eviction policy.
     pub eviction: EvictionPolicy,
@@ -163,11 +166,8 @@ struct ServeSession {
 
 /// The simulated store.
 pub struct KvStore {
-    sys: MemSystem,
-    tm: TierManager,
+    mem: PricedTier,
     cfg: KvConfig,
-    /// Per-node average access latency, ns, refreshed every epoch.
-    lat_ns: Vec<f64>,
     /// CLOCK ring of memory-resident pages for `maxmemory` eviction.
     ring: VecDeque<PageId>,
     /// CLOCK reference bit per data page. The store allocates every
@@ -177,10 +177,9 @@ pub struct KvStore {
     referenced: Vec<bool>,
     flash: bool,
     now: SimTime,
-    epoch_start: SimTime,
     runs: u64,
     /// Deterministic sampler for Random/LFU eviction.
-    evict_rng: rand::rngs::SmallRng,
+    evict_rng: SmallRng,
     /// LFU access count per page, indexed like `referenced` (decayed
     /// periodically).
     freq: Vec<u32>,
@@ -199,12 +198,13 @@ impl KvStore {
     ///
     /// # Panics
     ///
-    /// Panics if the dataset cannot be placed (no SSD and nodes too
-    /// small).
+    /// Panics if `cfg.epoch_ops` is zero, or if the dataset cannot be
+    /// placed (no SSD and nodes too small).
     pub fn new(topo: &Topology, mut tier_cfg: TierConfig, cfg: KvConfig, flash: bool) -> Self {
+        assert!(cfg.epoch_ops > 0, "KvConfig::epoch_ops must be positive");
         tier_cfg.allow_ssd_spill = flash;
-        let sys = MemSystem::new(topo);
-        let mut tm = TierManager::new(topo, tier_cfg);
+        let mut mem = PricedTier::new(topo, tier_cfg);
+        let tm = mem.tier_mut();
         let total_bytes = cfg.record_count * cfg.value_size;
         let n_pages = total_bytes.div_ceil(tm.page_size());
         let pages = tm
@@ -217,63 +217,41 @@ impl KvStore {
                 ring.push_back(p);
             }
         }
-        let lat_ns = Self::idle_latency_table(&sys);
+        tm.drain_epoch(); // Discard load-phase traffic.
         let cfg_seed = cfg.seed;
-        let mut store = Self {
-            sys,
-            tm,
+        Self {
+            mem,
             cfg,
-            lat_ns,
             ring,
             referenced: vec![false; n_pages as usize],
             flash,
             now: SimTime::ZERO,
-            epoch_start: SimTime::ZERO,
             runs: 0,
             evict_rng: {
                 use rand::SeedableRng;
-                rand::rngs::SmallRng::seed_from_u64(cxl_stats::rng::derive_seed(cfg_seed, "evict"))
+                SmallRng::seed_from_u64(cxl_stats::rng::derive_seed(cfg_seed, "evict"))
             },
             freq: vec![0; n_pages as usize],
             ops_since_decay: 0,
             serve: None,
-        };
-        store.tm.drain_epoch(); // Discard load-phase traffic.
-        store
-    }
-
-    fn idle_latency_table(sys: &MemSystem) -> Vec<f64> {
-        sys.nodes()
-            .iter()
-            .map(|n| {
-                // Offline (failed) expanders have no latency; infinity
-                // keeps any stale access to them visibly wrong without
-                // panicking the pricing path.
-                sys.try_idle_latency_ns(sys.sockets()[0], n.id, cxl_perf::AccessMix::read_only())
-                    .unwrap_or(f64::INFINITY)
-            })
-            .collect()
+        }
     }
 
     /// The tier manager (for inspection in tests and reports).
     pub fn tier(&self) -> &TierManager {
-        &self.tm
+        self.mem.tier()
     }
 
     /// Current page residency distribution.
     pub fn residency(&self) -> Vec<(Location, u64)> {
-        self.tm.residency()
+        self.tier().residency()
     }
 
     /// Idle read latency to `node` under the store's current (possibly
     /// degraded) performance model, ns; `None` when the node is offline.
     pub fn idle_latency_ns(&self, node: NodeId) -> Option<f64> {
-        self.sys
-            .try_idle_latency_ns(
-                self.sys.sockets()[0],
-                node,
-                cxl_perf::AccessMix::read_only(),
-            )
+        let sys = self.mem.system();
+        sys.try_idle_latency_ns(sys.sockets()[0], node, cxl_perf::AccessMix::read_only())
             .ok()
     }
 
@@ -283,8 +261,7 @@ impl KvStore {
     /// moving pages; the store keeps serving at the recomputed
     /// latencies.
     pub fn apply_topology(&mut self, topo: &Topology) {
-        self.sys = MemSystem::new(topo);
-        self.lat_ns = Self::idle_latency_table(&self.sys);
+        self.mem.apply_topology(topo);
     }
 
     /// Reacts to an expander failure: fences and drains `node` through
@@ -300,10 +277,7 @@ impl KvStore {
         topo: &Topology,
         node: NodeId,
     ) -> Result<EvacuationReport, TierError> {
-        let report = self.tm.evacuate(node, self.now)?;
-        self.now = self.now.max(report.completed_at);
-        self.apply_topology(topo);
-        self.refresh_epoch();
+        let report = self.mem.evacuate(topo, node, &mut self.now)?;
         cxl_obs::counter_add("kv/expander_failures_survived", 1);
         Ok(report)
     }
@@ -316,11 +290,8 @@ impl KvStore {
         node: NodeId,
         new_capacity_bytes: u64,
     ) -> Result<EvacuationReport, TierError> {
-        let report = self.tm.shrink_node(node, new_capacity_bytes, self.now)?;
-        self.now = self.now.max(report.completed_at);
-        self.apply_topology(topo);
-        self.refresh_epoch();
-        Ok(report)
+        self.mem
+            .shrink(topo, node, new_capacity_bytes, &mut self.now)
     }
 
     /// Raises `node`'s capacity (a pool lease granted mid-run). Newly
@@ -331,20 +302,22 @@ impl KvStore {
         node: NodeId,
         new_capacity_bytes: u64,
     ) -> Result<(), TierError> {
-        self.tm.grow_node(node, new_capacity_bytes)
+        self.mem.tier_mut().grow_node(node, new_capacity_bytes)
     }
 
     /// Retunes the live promotion rate limit (see
     /// [`TierManager::set_promote_rate`]), effective at the store's
     /// current clock.
     pub fn set_promote_rate(&mut self, bytes_per_sec: f64) -> Result<(), TierError> {
-        self.tm.set_promote_rate(self.now, bytes_per_sec)
+        self.mem
+            .tier_mut()
+            .set_promote_rate(self.now, bytes_per_sec)
     }
 
     /// Retunes the bandwidth-aware demote batch (see
     /// [`TierManager::set_demote_batch`]).
     pub fn set_demote_batch(&mut self, batch: usize) -> Result<(), TierError> {
-        self.tm.set_demote_batch(batch)
+        self.mem.tier_mut().set_demote_batch(batch)
     }
 
     /// The store's tiering clock (advances as workload runs execute).
@@ -353,7 +326,7 @@ impl KvStore {
     }
 
     fn page_index_of_key(&self, key: u64) -> usize {
-        ((key * self.cfg.value_size) / self.tm.page_size()) as usize
+        ((key * self.cfg.value_size) / self.tier().page_size()) as usize
     }
 
     /// Data pages allocated so far.
@@ -365,7 +338,8 @@ impl KvStore {
     fn ensure_page(&mut self, index: usize) {
         while self.page_count() <= index {
             let p = self
-                .tm
+                .mem
+                .tier_mut()
                 .alloc(self.now)
                 .expect("insert failed: out of memory without flash");
             debug_assert_eq!(
@@ -373,7 +347,7 @@ impl KvStore {
                 PageId(self.page_count() as u64),
                 "data page ids are dense"
             );
-            if !self.tm.location(p).is_ssd() {
+            if !self.tier().location(p).is_ssd() {
                 self.ring.push_back(p);
             }
             self.referenced.push(false);
@@ -401,7 +375,7 @@ impl KvStore {
                 while guard > 0 {
                     guard -= 1;
                     let victim = self.ring.pop_front()?;
-                    if self.tm.location(victim).is_ssd() {
+                    if self.tier().location(victim).is_ssd() {
                         continue; // Stale entry.
                     }
                     if self.take_referenced(victim) {
@@ -412,7 +386,7 @@ impl KvStore {
                 }
                 // Everything referenced: take the next resident page.
                 while let Some(victim) = self.ring.pop_front() {
-                    if !self.tm.location(victim).is_ssd() {
+                    if !self.tier().location(victim).is_ssd() {
                         self.take_referenced(victim);
                         return Some(victim);
                     }
@@ -426,7 +400,7 @@ impl KvStore {
                     let idx = self.evict_rng.gen_range(0..self.ring.len());
                     self.ring.swap(idx, 0);
                     let victim = self.ring.pop_front()?;
-                    if self.tm.location(victim).is_ssd() {
+                    if self.tier().location(victim).is_ssd() {
                         continue;
                     }
                     self.take_referenced(victim);
@@ -445,7 +419,7 @@ impl KvStore {
                     for _ in 0..SAMPLE.min(self.ring.len()) {
                         let idx = self.evict_rng.gen_range(0..self.ring.len());
                         let page = self.ring[idx];
-                        if self.tm.location(page).is_ssd() {
+                        if self.tier().location(page).is_ssd() {
                             continue;
                         }
                         candidates.push((idx, self.freq[page.0 as usize]));
@@ -471,7 +445,7 @@ impl KvStore {
     /// after an evacuation shrank memory, a store must keep serving at
     /// SSD latency rather than abort.
     fn cache_in(&mut self, page: PageId) {
-        while self.tm.load_from_ssd(page, self.now).is_err() {
+        while self.mem.tier_mut().load_from_ssd(page, self.now).is_err() {
             let Some(victim) = self.pick_victim() else {
                 cxl_obs::counter_add("kv/cache_in_give_ups", 1);
                 return;
@@ -479,7 +453,7 @@ impl KvStore {
             // A stale victim (already spilled, e.g. by an evacuation
             // racing the CLOCK ring) fails to evict; the loop tries
             // another.
-            let _ = self.tm.evict_to_ssd(victim);
+            let _ = self.mem.tier_mut().evict_to_ssd(victim);
         }
         self.ring.push_back(page);
         self.mark_referenced(page);
@@ -489,7 +463,7 @@ impl KvStore {
     /// Returns `(service_ns, hit_ssd)` for that page.
     fn access_page(&mut self, idx: usize, rw: Rw, chases: f64, bytes: u64) -> (f64, bool) {
         let page = PageId(idx as u64);
-        let outcome = self.tm.touch(page, rw, bytes, self.now);
+        let outcome = self.mem.tier_mut().touch(page, rw, bytes, self.now);
         self.mark_referenced(page);
         if self.cfg.eviction == EvictionPolicy::Lfu && self.flash {
             self.freq[page.0 as usize] += 1;
@@ -506,7 +480,7 @@ impl KvStore {
         let mut hit_ssd = false;
         match outcome.location {
             Location::Node(node) => {
-                ns += chases * self.lat_ns[node.0];
+                ns += chases * self.mem.latency_ns(node);
             }
             Location::Ssd => {
                 hit_ssd = true;
@@ -515,15 +489,15 @@ impl KvStore {
                     self.cache_in(page);
                 }
                 // Re-price the chases at the page's new home.
-                if let Location::Node(node) = self.tm.location(page) {
-                    ns += chases * self.lat_ns[node.0];
+                if let Location::Node(node) = self.tier().location(page) {
+                    ns += chases * self.mem.latency_ns(node);
                 }
             }
         }
         if cxl_obs::active() {
             let metric = match outcome.location {
                 Location::Ssd => "kv/access_ns/ssd",
-                Location::Node(node) => match self.sys.node(node).tier {
+                Location::Node(node) => match self.mem.system().node(node).tier {
                     cxl_topology::MemoryTier::LocalDram => "kv/access_ns/mmem",
                     cxl_topology::MemoryTier::CxlExpander => "kv/access_ns/cxl",
                 },
@@ -584,44 +558,6 @@ impl KvStore {
         (ns, hit_ssd)
     }
 
-    /// Refreshes the per-node latency table from the traffic of the
-    /// closing epoch and runs tier-manager periodic work.
-    fn refresh_epoch(&mut self) {
-        let dur = self.now.saturating_sub(self.epoch_start);
-        let epoch = self.tm.drain_epoch();
-        if dur > SimTime::ZERO {
-            // KeyDB stores are regular (allocating) writes, not NT streams.
-            let mut flows = epoch.flows(self.sys.sockets()[0], dur, false);
-            // Traffic recorded on a node that has since failed cannot be
-            // priced on the degraded topology; drop it (the pages are
-            // gone from that node too).
-            flows.retain(|f| self.sys.node_online(f.node));
-            if !flows.is_empty() {
-                let res = self.sys.solve(&flows);
-                for (f, o) in flows.iter().zip(res.flows.iter()) {
-                    self.lat_ns[f.node.0] = o.latency_ns;
-                }
-                // Feed the §5.3 bandwidth-awareness input from the same
-                // solve: the accessor socket's DRAM DDR-group
-                // utilization drives the tier manager's promote/demote
-                // watermark logic on the tick below. A no-op unless the
-                // bandwidth-aware migration mode is configured.
-                let socket = self.sys.sockets()[0];
-                if let Some(dram) =
-                    self.sys.nodes().iter().find(|n| {
-                        n.socket == socket && n.tier == cxl_topology::MemoryTier::LocalDram
-                    })
-                {
-                    self.tm.set_dram_bandwidth_util(
-                        res.utilization_of(ResourceKind::DdrGroup(dram.id)),
-                    );
-                }
-            }
-        }
-        self.tm.tick(self.now);
-        self.epoch_start = self.now;
-    }
-
     /// Runs an **open-loop** YCSB load: operations arrive at
     /// `rate_ops_per_sec` with exponential inter-arrival times and queue
     /// at the server threads regardless of completion — the setup for
@@ -643,67 +579,7 @@ impl KvStore {
             rate_ops_per_sec > 0.0 && rate_ops_per_sec.is_finite(),
             "invalid arrival rate {rate_ops_per_sec}"
         );
-        let run_seed =
-            cxl_stats::rng::derive_seed(self.cfg.seed, &format!("openloop.{}", self.runs));
-        self.runs += 1;
-        let gen_cfg = GeneratorConfig {
-            record_count: self.cfg.record_count,
-            value_size: self.cfg.value_size,
-            seed: run_seed,
-        };
-        let mut generator = Generator::new(workload, gen_cfg);
-        let mut arrival_rng = cxl_stats::rng::stream_rng(run_seed, "arrivals");
-        let interarrival = cxl_stats::Exponential::new(rate_ops_per_sec);
-        let mut servers = MultiServer::new(self.cfg.server_threads);
-        let mut latency = Histogram::new();
-        let mut read_latency = Histogram::new();
-        let mut ssd_hits = 0u64;
-        let start = self.now;
-        let mut arrival_s = start.as_secs_f64();
-        let mut op_buf = VecDeque::new();
-
-        for i in 0..ops {
-            let op = next_buffered_op(&mut generator, &mut op_buf, ops - i);
-            arrival_s += interarrival.sample(&mut arrival_rng);
-            let arrival = SimTime::from_secs_f64(arrival_s);
-            // `self.now` is the tiering clock; keep it monotone. Epoch
-            // refreshes below advance it to a completion time, which can
-            // lie past the next arrival.
-            self.now = self.now.max(arrival);
-            let (service_ns, hit_ssd) = self.service_op(op);
-            let completion = servers.submit(arrival, SimTime::from_ns_f64(service_ns));
-            let sojourn = completion.sojourn(arrival).as_ns();
-            latency.record(sojourn);
-            cxl_obs::record("kv/op_sojourn_ns", sojourn);
-            if !op.is_write() {
-                read_latency.record(sojourn);
-            }
-            if hit_ssd {
-                ssd_hits += 1;
-            }
-            if (i + 1) % self.cfg.epoch_ops == 0 {
-                self.now = self.now.max(completion.finish);
-                self.refresh_epoch();
-            }
-        }
-
-        self.now = servers.makespan().max(self.now);
-        self.refresh_epoch();
-        let duration = self.now.saturating_sub(start);
-        let throughput = if duration > SimTime::ZERO {
-            ops as f64 / duration.as_secs_f64()
-        } else {
-            0.0
-        };
-        RunResult {
-            ops,
-            duration,
-            throughput_ops: throughput,
-            latency,
-            read_latency,
-            ssd_hits,
-            tier_stats: self.tm.stats().clone(),
-        }
+        self.run_ops(workload, ops, Some(rate_ops_per_sec))
     }
 
     /// Queue-fed serving entry point: prices one request of `ops`
@@ -717,8 +593,8 @@ impl KvStore {
     /// draws the next ops from a persistent deterministic YCSB session
     /// (continued across calls, like repeated [`run`]s continue the
     /// trace), prices them against the live tier layout, and keeps its
-    /// epoch-refresh cadence (`epoch_ops`) ticking on the same op
-    /// counter the run loops use.
+    /// epoch-refresh cadence (`epoch_ops`) ticking on the session's op
+    /// counter.
     ///
     /// The tiering clock only moves forward: dispatch instants from a
     /// well-ordered event loop are monotone, and internal epoch
@@ -753,8 +629,8 @@ impl KvStore {
                 ops: 0,
             });
         }
-        // Take the session out so `service_op`/`refresh_epoch` can
-        // borrow `self` mutably; put it back before returning.
+        // Take the session out so `service_op` can borrow `self`
+        // mutably; put it back before returning.
         let mut session = self.serve.take().expect("session opened above");
         let mut total_ns = 0.0f64;
         for _ in 0..ops {
@@ -767,7 +643,7 @@ impl KvStore {
             total_ns += service_ns;
             session.ops += 1;
             if session.ops.is_multiple_of(self.cfg.epoch_ops) {
-                self.refresh_epoch();
+                self.mem.reprice(self.now);
             }
         }
         self.serve = Some(session);
@@ -781,7 +657,22 @@ impl KvStore {
     /// identical trace, so warm-up runs do not pre-answer the measured
     /// run's exact key sequence.
     pub fn run(&mut self, workload: Workload, ops: u64) -> RunResult {
-        let run_seed = cxl_stats::rng::derive_seed(self.cfg.seed, &format!("run.{}", self.runs));
+        self.run_ops(workload, ops, None)
+    }
+
+    /// The op loop of [`run`] (closed-loop clients, `open_rate` = `None`)
+    /// and of [`run_open_loop`] (Poisson arrivals at `open_rate`).
+    ///
+    /// [`run`]: KvStore::run
+    /// [`run_open_loop`]: KvStore::run_open_loop
+    fn run_ops(&mut self, workload: Workload, ops: u64, open_rate: Option<f64>) -> RunResult {
+        let label = if open_rate.is_some() {
+            "openloop"
+        } else {
+            "run"
+        };
+        let run_seed =
+            cxl_stats::rng::derive_seed(self.cfg.seed, &format!("{label}.{}", self.runs));
         self.runs += 1;
         let gen_cfg = GeneratorConfig {
             record_count: self.cfg.record_count,
@@ -789,26 +680,33 @@ impl KvStore {
             seed: run_seed,
         };
         let mut generator = Generator::new(workload, gen_cfg);
+        let start = self.now;
+        let mut arrivals = match open_rate {
+            None => Arrivals::Closed(vec![SimTime::ZERO; self.cfg.client_concurrency]),
+            Some(rate) => Arrivals::Open {
+                rng: cxl_stats::rng::stream_rng(run_seed, "arrivals"),
+                gap: cxl_stats::Exponential::new(rate),
+                at_s: start.as_secs_f64(),
+            },
+        };
         let mut servers = MultiServer::new(self.cfg.server_threads);
-        let mut clients: Vec<SimTime> = vec![SimTime::ZERO; self.cfg.client_concurrency];
         let mut latency = Histogram::new();
         let mut read_latency = Histogram::new();
         let mut ssd_hits = 0u64;
-        let start = self.now;
         let mut op_buf = VecDeque::new();
 
         for i in 0..ops {
             let op = next_buffered_op(&mut generator, &mut op_buf, ops - i);
-            let client = (i as usize) % clients.len();
-            let arrival = clients[client].max(start);
-            // Concurrent clients complete out of order, so one client's
-            // arrival can precede another's completion. `self.now` is
-            // the tiering clock and must stay monotone: the tier
-            // manager's rate limiter and recency tracking observe it.
+            let arrival = arrivals.next(i, start);
+            // `self.now` is the tiering clock and must stay monotone: the
+            // tier manager's rate limiter and recency tracking observe
+            // it. Concurrent clients complete out of order, and epoch
+            // refreshes below advance it to a completion time, so an
+            // arrival can lie before it.
             self.now = self.now.max(arrival);
             let (service_ns, hit_ssd) = self.service_op(op);
             let completion = servers.submit(arrival, SimTime::from_ns_f64(service_ns));
-            clients[client] = completion.finish;
+            arrivals.completed(i, completion.finish);
             let sojourn = completion.sojourn(arrival).as_ns();
             latency.record(sojourn);
             cxl_obs::record("kv/op_sojourn_ns", sojourn);
@@ -820,12 +718,12 @@ impl KvStore {
             }
             if (i + 1) % self.cfg.epoch_ops == 0 {
                 self.now = self.now.max(completion.finish);
-                self.refresh_epoch();
+                self.mem.reprice(self.now);
             }
         }
 
         self.now = servers.makespan().max(self.now);
-        self.refresh_epoch();
+        self.mem.reprice(self.now);
         let duration = self.now.saturating_sub(start);
         let throughput = if duration > SimTime::ZERO {
             ops as f64 / duration.as_secs_f64()
@@ -839,7 +737,41 @@ impl KvStore {
             latency,
             read_latency,
             ssd_hits,
-            tier_stats: self.tm.stats().clone(),
+            tier_stats: self.tier().stats().clone(),
+        }
+    }
+}
+
+/// Where the ops of one run arrive from.
+enum Arrivals {
+    /// Closed-loop clients, op `i` issued by client `i mod n` once that
+    /// client's previous op completed.
+    Closed(Vec<SimTime>),
+    /// Open-loop Poisson arrivals: exponential gaps, summed in seconds.
+    Open {
+        rng: SmallRng,
+        gap: Exponential,
+        at_s: f64,
+    },
+}
+
+impl Arrivals {
+    /// Arrival instant of op `i` of a run that started at `start`.
+    fn next(&mut self, i: u64, start: SimTime) -> SimTime {
+        match self {
+            Arrivals::Closed(clients) => clients[i as usize % clients.len()].max(start),
+            Arrivals::Open { rng, gap, at_s } => {
+                *at_s += gap.sample(rng);
+                SimTime::from_secs_f64(*at_s)
+            }
+        }
+    }
+
+    /// Records that op `i` completed at `finish`.
+    fn completed(&mut self, i: u64, finish: SimTime) {
+        if let Arrivals::Closed(clients) = self {
+            let n = clients.len();
+            clients[i as usize % n] = finish;
         }
     }
 }
@@ -1245,5 +1177,15 @@ mod tests {
     #[should_panic(expected = "at least one op")]
     fn service_request_rejects_empty_request() {
         mmem_store().service_request(SimTime::ZERO, Workload::C, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "KvConfig::epoch_ops must be positive")]
+    fn zero_epoch_ops_is_rejected() {
+        let cfg = KvConfig {
+            epoch_ops: 0,
+            ..kv_cfg()
+        };
+        KvStore::new(&topo(), TierConfig::bind(vec![DRAM0]), cfg, false);
     }
 }

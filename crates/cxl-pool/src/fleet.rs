@@ -31,32 +31,21 @@
 //! ([`build_host`]) so a caller can shard the heavy work across
 //! workers and still get a bit-identical world.
 
-use cxl_fault::FaultKind;
 use cxl_obs as obs;
 use cxl_perf::{AccessMix, MemSystem};
 use cxl_sim::{Engine, SimTime};
 use cxl_stats::rng::stream_rng;
 use cxl_stats::Ewma;
-use cxl_tier::{PageId, TierConfig, TierManager};
-use cxl_topology::{Fabric, NodeId, SocketId, Topology};
+use cxl_topology::{Fabric, SocketId, Topology};
 use rand::Rng;
 use serde::Serialize;
 
 use crate::demand::{DemandConfig, DemandProcess};
+use crate::host::{DemandSummary, EvacuationTally, PooledHost, DRAM_NODE, GIB};
 use crate::lease::HostId;
-use crate::manager::{PoolManager, PoolStats, RevocationNotice};
-use crate::sim::DRAM_NODE;
+use crate::manager::{PoolManager, PoolStats};
 
-const GIB: u64 = 1 << 30;
-
-/// NUMA node id of rack `r`'s pool window on every fleet host.
-///
-/// [`Topology::fleet_host`] enumerates windows after DRAM, so window
-/// `r` is node `1 + r` on every host regardless of its own rack — only
-/// the window's path latency differs.
-pub fn window_node(rack: usize) -> NodeId {
-    NodeId(1 + rack)
-}
+pub use crate::host::window_node;
 
 /// The heterogeneous workloads the cluster scheduler places.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -362,10 +351,7 @@ impl FleetPlan {
 #[derive(Debug)]
 pub struct FleetHost {
     spec: HostSpec,
-    topo: Topology,
-    tier: TierManager,
-    demand: DemandProcess,
-    static_cap_gib: f64,
+    host: PooledHost,
 }
 
 /// Builds one host of the fleet world. Pure in `(cfg, spec)`: callers
@@ -384,30 +370,27 @@ pub fn build_host(cfg: &FleetConfig, spec: &HostSpec) -> FleetHost {
             (device, cfg.rack_pool_gib, path_ns)
         })
         .collect();
-    let topo = Topology::fleet_host(cfg.local_dram_gib, &windows);
     // Allocation preference: DRAM, then the local window, then remote
     // windows by rack id — cheapest path first.
     let mut bind = vec![DRAM_NODE, window_node(spec.rack)];
     bind.extend((0..cfg.racks).filter(|r| *r != spec.rack).map(window_node));
-    let mut tier_cfg = TierConfig::bind(bind);
-    tier_cfg.page_size = cfg.page_bytes;
-    tier_cfg.allow_ssd_spill = true;
-    // Every window starts at zero capacity; grants grow them.
-    tier_cfg.capacity_override = (0..cfg.racks).map(|r| (window_node(r), 0)).collect();
-    let tier = TierManager::new(&topo, tier_cfg);
     let demand = DemandProcess::generate(
         &spec.class.demand(),
         cfg.seed,
         &format!("fleet/rack{}/host{}", spec.rack, spec.slot),
         cfg.horizon,
     );
-    let static_cap_gib = demand.percentile(cfg.horizon, cfg.step, cfg.slo_percentile);
     FleetHost {
         spec: *spec,
-        topo,
-        tier,
-        demand,
-        static_cap_gib,
+        host: PooledHost::new(
+            Topology::fleet_host(cfg.local_dram_gib, &windows),
+            bind,
+            cfg.page_bytes,
+            demand,
+            cfg.horizon,
+            cfg.step,
+            cfg.slo_percentile,
+        ),
     }
 }
 
@@ -425,25 +408,14 @@ struct RackState {
     tick_local_demand: u64,
 }
 
-/// One simulated host inside the running world.
-struct HostRt {
-    spec: HostSpec,
-    topo: Topology,
-    tier: TierManager,
-    demand: DemandProcess,
-    /// Host-side lease mirror, slabs per rack window.
-    granted: Vec<u64>,
-    pages: Vec<PageId>,
-    static_cap_gib: f64,
-    violation_steps: u64,
-    static_violation_steps: u64,
-}
-
 /// Simulation state threaded through the event engine.
 struct FleetState {
     cfg: FleetConfig,
     racks: Vec<RackState>,
-    hosts: Vec<HostRt>,
+    /// Each host's rack, in global host order.
+    host_racks: Vec<usize>,
+    /// Window `r` of each host is its lease on rack `r`.
+    hosts: Vec<PooledHost>,
     host_steps: u64,
     intra_slab_steps: u64,
     cross_slab_steps: u64,
@@ -451,9 +423,7 @@ struct FleetState {
     cross_grants: u64,
     peak_outstanding_slabs: u64,
     min_lend_cap: u64,
-    evac_pages_moved: u64,
-    evac_pages_to_ssd: u64,
-    stranded_pages: u64,
+    evacuation: EvacuationTally,
     fault_fired: bool,
     ticks: u64,
 }
@@ -548,23 +518,11 @@ impl FleetState {
                 tick_local_demand: 0,
             })
             .collect();
-        let hosts = hosts
-            .into_iter()
-            .map(|h| HostRt {
-                spec: h.spec,
-                topo: h.topo,
-                tier: h.tier,
-                demand: h.demand,
-                granted: vec![0; cfg.racks],
-                pages: Vec::new(),
-                static_cap_gib: h.static_cap_gib,
-                violation_steps: 0,
-                static_violation_steps: 0,
-            })
-            .collect();
+        let (host_racks, hosts) = hosts.into_iter().map(|h| (h.spec.rack, h.host)).unzip();
         Self {
             cfg: cfg.clone(),
             racks,
+            host_racks,
             hosts,
             host_steps: 0,
             intra_slab_steps: 0,
@@ -573,9 +531,7 @@ impl FleetState {
             cross_grants: 0,
             peak_outstanding_slabs: 0,
             min_lend_cap: rack_slabs,
-            evac_pages_moved: 0,
-            evac_pages_to_ssd: 0,
-            stranded_pages: 0,
+            evacuation: EvacuationTally::default(),
             fault_fired: false,
             ticks: 0,
         }
@@ -603,13 +559,10 @@ impl FleetState {
     fn host_tick(&mut self, h: usize, now: SimTime) -> Vec<(usize, HostId, u64, SimTime)> {
         let mut deferred = Vec::new();
         let hid = HostId(h);
-        let my_rack = self.hosts[h].spec.rack;
+        let my_rack = self.host_racks[h];
         let slab_bytes = self.slab_bytes();
-        let ws_gib = self.hosts[h].demand.working_set_gib(now);
-        let target_pages = ((ws_gib * GIB as f64) / self.cfg.page_bytes as f64).ceil() as u64;
-        let target_bytes = target_pages * self.cfg.page_bytes;
-        let excess_bytes = target_bytes.saturating_sub(self.cfg.local_dram_gib * GIB);
-        let desired_slabs = excess_bytes.div_ceil(slab_bytes);
+        let (target_pages, desired_slabs) =
+            self.hosts[h].demand_at(now, self.cfg.local_dram_gib, slab_bytes);
         self.racks[my_rack].tick_local_demand += desired_slabs;
 
         // 1. Grow the lease: local rack first (full manager semantics,
@@ -651,41 +604,30 @@ impl FleetState {
                     self.cross_grants += 1;
                     obs::counter_add("fleet/cross_rack_grants", 1);
                 }
-                self.hosts[h].granted[r] += got;
-                let cap = self.hosts[h].granted[r] * slab_bytes;
-                self.hosts[h]
-                    .tier
-                    .grow_node(window_node(r), cap)
-                    .expect("window node exists");
+                self.hosts[h].grow_window(r, got, slab_bytes);
                 want -= got;
             }
+            // Revocation victims drain through the tier migration path.
             for notice in resp.revocations {
-                if let Some(d) = self.process_revocation(r, notice, now) {
-                    deferred.push(d);
+                let v = notice.host.0;
+                let Some((take, ready_at)) = self.hosts[v].revoke(r, notice.slabs, slab_bytes, now)
+                else {
+                    continue;
+                };
+                if self.host_racks[v] != r {
+                    self.racks[r].lent_slabs = self.racks[r].lent_slabs.saturating_sub(take);
                 }
+                deferred.push((r, notice.host, take, ready_at));
             }
         }
         self.unmet_slab_steps += want;
 
-        // 2. Track the working set: allocate growth, free shrink LIFO.
-        let live = self.hosts[h].pages.len() as u64;
-        if live < target_pages {
-            let fresh = self.hosts[h]
-                .tier
-                .alloc_n(target_pages - live, now)
-                .expect("SSD spill is enabled");
-            self.hosts[h].pages.extend(fresh);
-        } else {
-            for _ in 0..(live - target_pages) {
-                let page = self.hosts[h].pages.pop().expect("live count checked");
-                self.hosts[h].tier.free(page);
-            }
-        }
+        // 2. Track the working set, then pull spilled pages back in if
+        //    capacity opened up.
+        self.hosts[h].track(target_pages, now);
+        self.hosts[h].reload_ssd(now);
 
-        // 3. Pull spilled pages back in if capacity opened up.
-        self.reload_ssd(h, now);
-
-        // 4. Hand back excess lease, most expensive windows first.
+        // 3. Hand back excess lease, most expensive windows first.
         let granted_total: u64 = self.hosts[h].granted.iter().sum();
         let mut excess = granted_total.saturating_sub(desired_slabs);
         for r in self.pref_order(my_rack).into_iter().rev() {
@@ -696,18 +638,12 @@ impl FleetState {
             if g == 0 {
                 continue;
             }
-            let used_bytes = self.hosts[h].tier.node_usage(window_node(r)).0 * self.cfg.page_bytes;
-            let min_keep = used_bytes.div_ceil(slab_bytes).min(g);
+            let min_keep = self.hosts[h].used_slabs(r, slab_bytes).min(g);
             let back = (g - min_keep).min(excess);
             if back == 0 {
                 continue;
             }
-            let keep = g - back;
-            self.hosts[h]
-                .tier
-                .shrink_node(window_node(r), keep * slab_bytes, now)
-                .expect("kept capacity covers resident pages");
-            self.hosts[h].granted[r] = keep;
+            self.hosts[h].shrink_window(r, g - back, slab_bytes, now);
             if r != my_rack {
                 self.racks[r].lent_slabs = self.racks[r].lent_slabs.saturating_sub(back);
             }
@@ -720,89 +656,15 @@ impl FleetState {
         deferred
     }
 
-    /// Drains a revocation of host `notice.host`'s window on `rack`
-    /// through the tier migration path.
-    fn process_revocation(
-        &mut self,
-        rack: usize,
-        notice: RevocationNotice,
-        now: SimTime,
-    ) -> Option<(usize, HostId, u64, SimTime)> {
-        let h = notice.host.0;
-        let take = notice.slabs.min(self.hosts[h].granted[rack]);
-        if take == 0 {
-            return None;
-        }
-        let keep = self.hosts[h].granted[rack] - take;
-        let keep_bytes = keep * self.slab_bytes();
-        let report = self.hosts[h]
-            .tier
-            .shrink_node(window_node(rack), keep_bytes, now)
-            .expect("SSD spill is enabled");
-        self.hosts[h].granted[rack] = keep;
-        if self.hosts[h].spec.rack != rack {
-            self.racks[rack].lent_slabs = self.racks[rack].lent_slabs.saturating_sub(take);
-        }
-        Some((rack, notice.host, take, now.max(report.completed_at)))
-    }
-
-    /// SSD-resident pages of host `h`.
-    fn ssd_pages(&self, h: usize) -> u64 {
-        let on_nodes: u64 = std::iter::once(DRAM_NODE)
-            .chain((0..self.cfg.racks).map(window_node))
-            .map(|n| self.hosts[h].tier.node_usage(n).0)
-            .sum();
-        self.hosts[h].pages.len() as u64 - on_nodes
-    }
-
-    /// Loads spilled pages back while any policy node has room.
-    fn reload_ssd(&mut self, h: usize, now: SimTime) {
-        let spilled = self.ssd_pages(h);
-        if spilled == 0 {
-            return;
-        }
-        let room: u64 = std::iter::once(DRAM_NODE)
-            .chain((0..self.cfg.racks).map(window_node))
-            .map(|n| {
-                let (used, cap) = self.hosts[h].tier.node_usage(n);
-                cap - used
-            })
-            .sum();
-        let mut to_load = spilled.min(room);
-        if to_load == 0 {
-            return;
-        }
-        let ids: Vec<PageId> = self.hosts[h].pages.iter().rev().copied().collect();
-        for page in ids {
-            if to_load == 0 {
-                break;
-            }
-            if self.hosts[h].tier.location(page).is_ssd() {
-                self.hosts[h]
-                    .tier
-                    .load_from_ssd(page, now)
-                    .expect("room was checked");
-                to_load -= 1;
-            }
-        }
-    }
-
     /// Post-adjustment accounting + the rack lend controllers.
     fn account(&mut self, now: SimTime) {
         self.ticks += 1;
-        for h in 0..self.hosts.len() {
+        for (host, &my_rack) in self.hosts.iter_mut().zip(&self.host_racks) {
             self.host_steps += 1;
-            if self.ssd_pages(h) > 0 {
-                self.hosts[h].violation_steps += 1;
+            if host.account_step(now) {
                 obs::counter_add("fleet/slo_violation_host_steps", 1);
             }
-            let ws = self.hosts[h].demand.working_set_gib(now);
-            if ws > self.hosts[h].static_cap_gib + 1e-9 {
-                self.hosts[h].static_violation_steps += 1;
-            }
-            let my_rack = self.hosts[h].spec.rack;
-            for r in 0..self.cfg.racks {
-                let g = self.hosts[h].granted[r];
+            for (r, &g) in host.granted.iter().enumerate() {
                 if r == my_rack {
                     self.intra_slab_steps += g;
                 } else {
@@ -833,21 +695,8 @@ impl FleetState {
     /// evacuation of every host's window onto that rack.
     fn fire_fault(&mut self, rack: usize, now: SimTime) {
         let _notices = self.racks[rack].manager.revoke_all(now);
-        let node = window_node(rack);
-        for h in 0..self.hosts.len() {
-            let resident_before = self.hosts[h].tier.node_usage(node).0;
-            FaultKind::ExpanderOffline { node }
-                .apply(&mut self.hosts[h].topo)
-                .expect("window node is an expander");
-            let report = self.hosts[h]
-                .tier
-                .evacuate(node, now)
-                .expect("SSD spill is enabled");
-            debug_assert_eq!(report.total_pages(), resident_before);
-            self.evac_pages_moved += report.pages_moved;
-            self.evac_pages_to_ssd += report.pages_to_ssd;
-            self.stranded_pages += self.hosts[h].tier.node_usage(node).0;
-            self.hosts[h].granted[rack] = 0;
+        for host in &mut self.hosts {
+            host.evacuate_window(rack, now, &mut self.evacuation);
         }
         self.racks[rack].lent_slabs = 0;
         self.fault_fired = true;
@@ -858,16 +707,7 @@ impl FleetState {
         let cfg = &self.cfg;
         let dynamic_total_gib =
             (cfg.hosts() as u64 * cfg.local_dram_gib + cfg.racks as u64 * cfg.rack_pool_gib) as f64;
-        let static_total_gib: f64 = self.hosts.iter().map(|h| h.static_cap_gib).sum();
-        let violation_steps: u64 = self.hosts.iter().map(|h| h.violation_steps).sum();
-        let static_violation_steps: u64 = self.hosts.iter().map(|h| h.static_violation_steps).sum();
-        let steps = self.host_steps.max(1) as f64;
-        let moments: Vec<(f64, f64)> = self
-            .hosts
-            .iter()
-            .map(|h| h.demand.moments(cfg.horizon, cfg.step))
-            .collect();
-        let n = moments.len() as f64;
+        let demand = DemandSummary::of(&self.hosts, self.host_steps, cfg.horizon, cfg.step);
         // Idle latencies from a pristine rack-0 host: the fabric's
         // intra- vs cross-rack price as the perf model solves it.
         let probe = build_host(
@@ -880,7 +720,7 @@ impl FleetState {
             },
         );
         let mix = AccessMix::read_only();
-        let sys = MemSystem::new(&probe.topo);
+        let sys = MemSystem::new(&probe.host.topo);
         let intra_idle_read_ns = sys.idle_latency_ns(SocketId(0), window_node(0), mix);
         let cross_rack = if cfg.racks > 1 { 1 } else { 0 };
         let cross_idle_read_ns = sys.idle_latency_ns(SocketId(0), window_node(cross_rack), mix);
@@ -901,10 +741,10 @@ impl FleetState {
             rack_pool_gib: cfg.rack_pool_gib,
             placement: plan.class_counts(cfg.racks),
             dynamic_total_gib,
-            static_total_gib,
-            capacity_saving: 1.0 - dynamic_total_gib / static_total_gib,
-            dynamic_violation_frac: violation_steps as f64 / steps,
-            static_violation_frac: static_violation_steps as f64 / steps,
+            static_total_gib: demand.static_total_gib,
+            capacity_saving: 1.0 - dynamic_total_gib / demand.static_total_gib,
+            dynamic_violation_frac: demand.dynamic_violation_frac,
+            static_violation_frac: demand.static_violation_frac,
             host_steps: self.host_steps,
             intra_slab_steps: self.intra_slab_steps,
             cross_slab_steps: self.cross_slab_steps,
@@ -928,12 +768,12 @@ impl FleetState {
             cross_idle_read_ns,
             intra_hops,
             cross_hops,
-            evac_pages_moved: self.evac_pages_moved,
-            evac_pages_to_ssd: self.evac_pages_to_ssd,
-            stranded_pages: self.stranded_pages,
+            evac_pages_moved: self.evacuation.moved,
+            evac_pages_to_ssd: self.evacuation.to_ssd,
+            stranded_pages: self.evacuation.stranded,
             fault_fired: self.fault_fired,
-            demand_mean_gib: moments.iter().map(|(m, _)| m).sum::<f64>() / n,
-            demand_std_gib: moments.iter().map(|(_, s)| s).sum::<f64>() / n,
+            demand_mean_gib: demand.mean_gib,
+            demand_std_gib: demand.std_gib,
         }
     }
 }

@@ -30,6 +30,7 @@
 pub mod address;
 pub mod demand;
 pub mod fleet;
+mod host;
 pub mod lease;
 pub mod manager;
 pub mod sim;

@@ -6,8 +6,9 @@
 //! through the [`PoolManager`], and adjusts its page population through
 //! its own `cxl-tier` manager, where the leased window appears as a
 //! far NUMA node whose capacity tracks the lease
-//! ([`TierManager::grow_node`] / [`TierManager::shrink_node`]).
-//! Revocations drain through the tier layer's rate-limited migration
+//! ([`cxl_tier::TierManager::grow_node`] /
+//! [`cxl_tier::TierManager::shrink_node`]); this per-host data plane is
+//! the one the fleet sim ([`crate::fleet`]) runs too. Revocations drain through the tier layer's rate-limited migration
 //! path, and the reclaimed slabs reach queued hosts only when the drain
 //! completes — lease waits include real data movement, not just queue
 //! position. An optional expander fault tears the whole pool down
@@ -18,24 +19,24 @@
 //! measure the capacity/SLO trade the paper's §7.1 pooling argument
 //! rests on.
 
-use cxl_fault::FaultKind;
 use cxl_obs as obs;
 use cxl_perf::{AccessMix, MemSystem};
 use cxl_sim::{Engine, SimTime};
-use cxl_tier::{PageId, TierConfig, TierManager};
 use cxl_topology::{NodeId, SocketId, Topology};
 use serde::Serialize;
 
 use crate::demand::{DemandConfig, DemandProcess};
+use crate::host::{window_node, DemandSummary, EvacuationTally, PooledHost, GIB};
 use crate::lease::HostId;
-use crate::manager::{Grant, PoolManager, PoolStats, RevocationNotice};
+use crate::manager::{Grant, PoolManager, PoolStats};
 
-/// DRAM node id inside each host's [`Topology::pooled_host`].
-pub const DRAM_NODE: NodeId = NodeId(0);
-/// Pool-window node id inside each host's [`Topology::pooled_host`].
-pub const POOL_NODE: NodeId = NodeId(1);
+pub use crate::host::DRAM_NODE;
+/// Pool-window node id inside each host's [`Topology::pooled_host`]:
+/// the host's only lease window.
+pub const POOL_NODE: NodeId = window_node(POOL);
 
-const GIB: u64 = 1 << 30;
+/// The pool window's index among a host's lease windows.
+const POOL: usize = 0;
 
 /// Configuration of one pooling simulation.
 #[derive(Debug, Clone, Serialize)]
@@ -104,34 +105,13 @@ impl PoolSimConfig {
     }
 }
 
-/// One simulated host: its private topology/tier stack and demand.
-struct HostState {
-    topo: Topology,
-    tier: TierManager,
-    demand: DemandProcess,
-    /// Live pages in allocation order (freed LIFO, so burst pages —
-    /// which landed on the pool or SSD — are released first).
-    pages: Vec<PageId>,
-    /// Host-side mirror of the lease, in slabs. Dips below the
-    /// manager's view while a revocation drain is in flight.
-    granted_slabs: u64,
-    /// Static per-host DRAM provision (demand percentile), GiB.
-    static_cap_gib: f64,
-    /// Host-steps with at least one page on SSD (dynamic SLO misses).
-    violation_steps: u64,
-    /// Host-steps where demand exceeded the static provision.
-    static_violation_steps: u64,
-}
-
 /// Simulation state threaded through the event engine.
 struct PoolState {
     cfg: PoolSimConfig,
     manager: PoolManager,
-    hosts: Vec<HostState>,
+    hosts: Vec<PooledHost>,
     host_steps: u64,
-    evac_pages_moved: u64,
-    evac_pages_to_ssd: u64,
-    stranded_pages: u64,
+    evacuation: EvacuationTally,
     fault_fired: bool,
 }
 
@@ -201,32 +181,20 @@ impl PoolState {
             PoolManager::new(cfg.pool_gib / cfg.slab_gib, cfg.hosts, cfg.defrag_threshold);
         let hosts = (0..cfg.hosts)
             .map(|h| {
-                let topo =
-                    Topology::pooled_host(cfg.local_dram_gib, cfg.pool_gib, cfg.switch_hop_ns);
-                let mut tier_cfg = TierConfig::bind(vec![DRAM_NODE, POOL_NODE]);
-                tier_cfg.page_size = cfg.page_bytes;
-                tier_cfg.allow_ssd_spill = true;
-                // The lease starts empty; grow_node raises this as
-                // grants arrive.
-                tier_cfg.capacity_override = vec![(POOL_NODE, 0)];
-                let tier = TierManager::new(&topo, tier_cfg);
-                let demand = DemandProcess::generate(
-                    &cfg.demand,
-                    cfg.seed,
-                    &format!("pool-host{h}"),
+                PooledHost::new(
+                    Topology::pooled_host(cfg.local_dram_gib, cfg.pool_gib, cfg.switch_hop_ns),
+                    vec![DRAM_NODE, POOL_NODE],
+                    cfg.page_bytes,
+                    DemandProcess::generate(
+                        &cfg.demand,
+                        cfg.seed,
+                        &format!("pool-host{h}"),
+                        cfg.horizon,
+                    ),
                     cfg.horizon,
-                );
-                let static_cap_gib = demand.percentile(cfg.horizon, cfg.step, cfg.slo_percentile);
-                HostState {
-                    topo,
-                    tier,
-                    demand,
-                    pages: Vec::new(),
-                    granted_slabs: 0,
-                    static_cap_gib,
-                    violation_steps: 0,
-                    static_violation_steps: 0,
-                }
+                    cfg.step,
+                    cfg.slo_percentile,
+                )
             })
             .collect();
         Self {
@@ -234,9 +202,7 @@ impl PoolState {
             manager,
             hosts,
             host_steps: 0,
-            evac_pages_moved: 0,
-            evac_pages_to_ssd: 0,
-            stranded_pages: 0,
+            evacuation: EvacuationTally::default(),
             fault_fired: false,
         }
     }
@@ -253,62 +219,38 @@ impl PoolState {
         let mut deferred = Vec::new();
         let hid = HostId(h);
         let slab_bytes = self.slab_bytes();
-        let ws_gib = self.hosts[h].demand.working_set_gib(now);
-        let target_pages = ((ws_gib * GIB as f64) / self.cfg.page_bytes as f64).ceil() as u64;
-        let target_bytes = target_pages * self.cfg.page_bytes;
-        let excess_bytes = target_bytes.saturating_sub(self.cfg.local_dram_gib * GIB);
-        let desired_slabs = excess_bytes.div_ceil(slab_bytes);
+        let (target_pages, desired_slabs) =
+            self.hosts[h].demand_at(now, self.cfg.local_dram_gib, slab_bytes);
 
         // 1. Grow the lease before allocating, so burst pages land on
         //    the pool window instead of spilling.
-        if desired_slabs > self.hosts[h].granted_slabs && !self.manager.is_offline() {
-            let want = desired_slabs - self.hosts[h].granted_slabs;
-            let resp = self.manager.request(hid, want, now);
+        let granted = self.hosts[h].granted[POOL];
+        if desired_slabs > granted && !self.manager.is_offline() {
+            let resp = self.manager.request(hid, desired_slabs - granted, now);
             let got = resp.outcome.granted_now();
             if got > 0 {
-                self.hosts[h].granted_slabs += got;
-                let cap = self.hosts[h].granted_slabs * slab_bytes;
-                self.hosts[h]
-                    .tier
-                    .grow_node(POOL_NODE, cap)
-                    .expect("pool node exists");
+                self.hosts[h].grow_window(POOL, got, slab_bytes);
             }
+            // Revocation victims drain through the tier migration path.
             for notice in resp.revocations {
-                if let Some(d) = self.process_revocation(notice, now) {
-                    deferred.push(d);
+                let victim = &mut self.hosts[notice.host.0];
+                if let Some((take, ready_at)) = victim.revoke(POOL, notice.slabs, slab_bytes, now) {
+                    deferred.push((notice.host, take, ready_at));
                 }
             }
         }
 
-        // 2. Track the working set: allocate growth, free shrink LIFO.
-        let live = self.hosts[h].pages.len() as u64;
-        if live < target_pages {
-            let fresh = self.hosts[h]
-                .tier
-                .alloc_n(target_pages - live, now)
-                .expect("SSD spill is enabled");
-            self.hosts[h].pages.extend(fresh);
-        } else {
-            for _ in 0..(live - target_pages) {
-                let page = self.hosts[h].pages.pop().expect("live count checked");
-                self.hosts[h].tier.free(page);
-            }
-        }
+        // 2. Track the working set, then pull spilled pages back in if
+        //    capacity opened up.
+        self.hosts[h].track(target_pages, now);
+        self.hosts[h].reload_ssd(now);
 
-        // 3. Pull spilled pages back in if capacity opened up.
-        self.reload_ssd(h, now);
-
-        // 4. Hand back lease the demand no longer needs.
-        let granted = self.hosts[h].granted_slabs;
+        // 3. Hand back lease the demand no longer needs.
+        let granted = self.hosts[h].granted[POOL];
         if desired_slabs < granted {
-            let pool_used_bytes = self.hosts[h].tier.node_usage(POOL_NODE).0 * self.cfg.page_bytes;
-            let keep = desired_slabs.max(pool_used_bytes.div_ceil(slab_bytes));
+            let keep = desired_slabs.max(self.hosts[h].used_slabs(POOL, slab_bytes));
             if keep < granted {
-                self.hosts[h]
-                    .tier
-                    .shrink_node(POOL_NODE, keep * slab_bytes, now)
-                    .expect("kept capacity covers resident pages");
-                self.hosts[h].granted_slabs = keep;
+                self.hosts[h].shrink_window(POOL, keep, slab_bytes, now);
                 if !self.manager.is_offline() {
                     let grants = self.manager.release(hid, granted - keep, now);
                     self.apply_grants(&grants, now);
@@ -318,88 +260,22 @@ impl PoolState {
         deferred
     }
 
-    /// Drains a revocation victim through the tier migration path.
-    fn process_revocation(
-        &mut self,
-        notice: RevocationNotice,
-        now: SimTime,
-    ) -> Option<(HostId, u64, SimTime)> {
-        let h = notice.host.0;
-        let take = notice.slabs.min(self.hosts[h].granted_slabs);
-        if take == 0 {
-            return None;
-        }
-        let keep = self.hosts[h].granted_slabs - take;
-        let keep_bytes = keep * self.slab_bytes();
-        let report = self.hosts[h]
-            .tier
-            .shrink_node(POOL_NODE, keep_bytes, now)
-            .expect("SSD spill is enabled");
-        self.hosts[h].granted_slabs = keep;
-        Some((notice.host, take, now.max(report.completed_at)))
-    }
-
     /// Applies deferred grants delivered by the manager.
     fn apply_grants(&mut self, grants: &[Grant], now: SimTime) {
+        let slab_bytes = self.slab_bytes();
         for g in grants {
-            let h = g.host.0;
-            self.hosts[h].granted_slabs += g.slabs;
-            let cap = self.hosts[h].granted_slabs * self.slab_bytes();
-            self.hosts[h]
-                .tier
-                .grow_node(POOL_NODE, cap)
-                .expect("pool node exists");
-            self.reload_ssd(h, now);
-        }
-    }
-
-    /// SSD-resident pages of host `h` (all live pages not on a node).
-    fn ssd_pages(&self, h: usize) -> u64 {
-        let (dram_used, _) = self.hosts[h].tier.node_usage(DRAM_NODE);
-        let (pool_used, _) = self.hosts[h].tier.node_usage(POOL_NODE);
-        self.hosts[h].pages.len() as u64 - dram_used - pool_used
-    }
-
-    /// Loads spilled pages back while any policy node has room.
-    fn reload_ssd(&mut self, h: usize, now: SimTime) {
-        let spilled = self.ssd_pages(h);
-        if spilled == 0 {
-            return;
-        }
-        let (dram_used, dram_cap) = self.hosts[h].tier.node_usage(DRAM_NODE);
-        let (pool_used, pool_cap) = self.hosts[h].tier.node_usage(POOL_NODE);
-        let room = (dram_cap - dram_used) + (pool_cap - pool_used);
-        let mut to_load = spilled.min(room);
-        if to_load == 0 {
-            return;
-        }
-        // Newest pages spilled last; walk from the top of the stack.
-        let ids: Vec<PageId> = self.hosts[h].pages.iter().rev().copied().collect();
-        for page in ids {
-            if to_load == 0 {
-                break;
-            }
-            if self.hosts[h].tier.location(page).is_ssd() {
-                self.hosts[h]
-                    .tier
-                    .load_from_ssd(page, now)
-                    .expect("room was checked");
-                to_load -= 1;
-            }
+            let host = &mut self.hosts[g.host.0];
+            host.grow_window(POOL, g.slabs, slab_bytes);
+            host.reload_ssd(now);
         }
     }
 
     /// Post-adjustment accounting for one tick.
     fn account(&mut self, now: SimTime) {
-        for h in 0..self.hosts.len() {
+        for host in &mut self.hosts {
             self.host_steps += 1;
-            if self.ssd_pages(h) > 0 {
-                self.hosts[h].violation_steps += 1;
+            if host.account_step(now) {
                 obs::counter_add("pool/slo_violation_host_steps", 1);
-            }
-            let ws = self.hosts[h].demand.working_set_gib(now);
-            if ws > self.hosts[h].static_cap_gib + 1e-9 {
-                self.hosts[h].static_violation_steps += 1;
             }
         }
         obs::counter_max("pool/queued_slabs_peak", self.manager.queued_slabs());
@@ -408,21 +284,8 @@ impl PoolState {
     /// The pool expander dies: mass revocation + per-host evacuation.
     fn fire_fault(&mut self, now: SimTime) {
         let _notices = self.manager.revoke_all(now);
-        for h in 0..self.hosts.len() {
-            let resident_before = self.hosts[h].tier.node_usage(POOL_NODE).0;
-            FaultKind::ExpanderOffline { node: POOL_NODE }
-                .apply(&mut self.hosts[h].topo)
-                .expect("pool node is an expander");
-            let report = self.hosts[h]
-                .tier
-                .evacuate(POOL_NODE, now)
-                .expect("SSD spill is enabled");
-            debug_assert_eq!(report.total_pages(), resident_before);
-            self.evac_pages_moved += report.pages_moved;
-            self.evac_pages_to_ssd += report.pages_to_ssd;
-            // Anything still on the dead node is stranded data loss.
-            self.stranded_pages += self.hosts[h].tier.node_usage(POOL_NODE).0;
-            self.hosts[h].granted_slabs = 0;
+        for host in &mut self.hosts {
+            host.evacuate_window(POOL, now, &mut self.evacuation);
         }
         self.fault_fired = true;
         obs::counter_add("pool/expander_faults", 1);
@@ -431,16 +294,7 @@ impl PoolState {
     fn into_report(self) -> PoolSimReport {
         let cfg = &self.cfg;
         let dynamic_total_gib = (cfg.hosts as u64 * cfg.local_dram_gib + cfg.pool_gib) as f64;
-        let static_total_gib: f64 = self.hosts.iter().map(|h| h.static_cap_gib).sum();
-        let violation_steps: u64 = self.hosts.iter().map(|h| h.violation_steps).sum();
-        let static_violation_steps: u64 = self.hosts.iter().map(|h| h.static_violation_steps).sum();
-        let steps = self.host_steps.max(1) as f64;
-        let moments: Vec<(f64, f64)> = self
-            .hosts
-            .iter()
-            .map(|h| h.demand.moments(cfg.horizon, cfg.step))
-            .collect();
-        let n = moments.len() as f64;
+        let demand = DemandSummary::of(&self.hosts, self.host_steps, cfg.horizon, cfg.step);
         // Perfect-liquidity pool: the SLO percentile of per-tick
         // aggregate excess over the very traces the run replayed.
         let traces: Vec<Vec<f64>> = self
@@ -469,22 +323,22 @@ impl PoolState {
             local_dram_gib: cfg.local_dram_gib,
             pool_gib: cfg.pool_gib,
             dynamic_total_gib,
-            static_total_gib,
-            capacity_saving: 1.0 - dynamic_total_gib / static_total_gib,
-            dynamic_violation_frac: violation_steps as f64 / steps,
-            static_violation_frac: static_violation_steps as f64 / steps,
+            static_total_gib: demand.static_total_gib,
+            capacity_saving: 1.0 - dynamic_total_gib / demand.static_total_gib,
+            dynamic_violation_frac: demand.dynamic_violation_frac,
+            static_violation_frac: demand.static_violation_frac,
             host_steps: self.host_steps,
             mean_wait_ms: stats.mean_wait_ns() / 1e6,
             max_wait_ms: stats.max_wait_ns as f64 / 1e6,
             peak_pool_used_gib: (stats.peak_used_slabs * cfg.slab_gib) as f64,
             stats,
-            evac_pages_moved: self.evac_pages_moved,
-            evac_pages_to_ssd: self.evac_pages_to_ssd,
-            stranded_pages: self.stranded_pages,
+            evac_pages_moved: self.evacuation.moved,
+            evac_pages_to_ssd: self.evacuation.to_ssd,
+            stranded_pages: self.evacuation.stranded,
             fault_fired: self.fault_fired,
             ideal_pool_gib,
-            demand_mean_gib: moments.iter().map(|(m, _)| m).sum::<f64>() / n,
-            demand_std_gib: moments.iter().map(|(_, s)| s).sum::<f64>() / n,
+            demand_mean_gib: demand.mean_gib,
+            demand_std_gib: demand.std_gib,
             pool_idle_read_ns,
             direct_idle_read_ns,
         }

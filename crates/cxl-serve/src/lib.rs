@@ -33,6 +33,7 @@
 
 pub mod arrival;
 pub mod config;
+pub mod lease;
 pub mod sim;
 
 pub use arrival::{expected_arrivals, generate_arrivals, rate_segments, RateSegment};

@@ -14,10 +14,10 @@
 //!
 //! Capacity elasticity goes through the `cxl-ctl` [`Plant`] contract:
 //! the world itself is the plant, one lease knob per tenant, and every
-//! actuation is transactional against the shared [`PoolManager`] —
-//! partial grants roll back, shrink goes through the store's
-//! rate-limited evacuation path, and `check_invariants` audits the
-//! lease/grant/capacity triangle after every change (violations are
+//! actuation is a [`lease::resize`] transaction against the shared
+//! [`PoolManager`] — partial grants roll back, shrink goes through the
+//! store's rate-limited evacuation path, and `check_invariants` runs
+//! [`lease::audit`] on every tenant after every change (violations are
 //! counted and gated at zero in CI).
 
 use std::collections::VecDeque;
@@ -26,27 +26,18 @@ use rand::Rng;
 use serde::Serialize;
 
 use cxl_ctl::{CtlError, KnobSpec, Plant};
-use cxl_fault::FaultKind;
-use cxl_kv::{KvConfig, KvStore};
 use cxl_llm::server::{request_timing, token_time, Request, ServerConfig};
 use cxl_llm::{LlmCluster, LlmConfig, LlmPlacement};
 use cxl_pool::{HostId, PoolManager};
 use cxl_sim::{Engine, SimTime, TokenBucket};
 use cxl_stats::rng::{derive_seed, stream_rng};
 use cxl_stats::{Ewma, Histogram};
-use cxl_tier::{AllocPolicy, HotPageConfig, MigrationMode, TierConfig};
-use cxl_topology::{MemoryTier, NodeId, SncMode, Topology};
+use cxl_topology::{MemoryTier, Topology};
 use cxl_ycsb::Workload;
 
 use crate::arrival::generate_arrivals;
 use crate::config::{ServeConfig, TenantClass, TenantConfig};
-
-/// SNC-disabled paper testbed: 0,1 = DRAM sockets; 2,3 = CXL on s0.
-const DRAM0: NodeId = NodeId(0);
-/// The fixed expander that dies at the fault instant.
-const CXL_FIXED: NodeId = NodeId(2);
-/// The lease-backed expander the autoscaler grows and shrinks.
-const CXL_LEASED: NodeId = NodeId(3);
+use crate::lease::{self, LeasedKv};
 
 // ---------------------------------------------------------------------
 // Request work and outcomes
@@ -73,60 +64,10 @@ struct Queued {
 // Backends
 // ---------------------------------------------------------------------
 
-/// A flash-backed KeyDB store on the paper testbed, sized so DRAM plus
-/// the fixed expander barely cover the dataset — the leased expander is
-/// the relief valve, and losing the fixed expander mid-run makes it the
-/// only one.
+/// A leased KV store (see [`crate::lease`]) serving one YCSB workload.
 struct KvBackend {
-    store: KvStore,
-    topo: Topology,
+    leased: LeasedKv,
     workload: Workload,
-    slab_bytes: u64,
-}
-
-impl KvBackend {
-    fn new(t: &TenantConfig, record_count: u64, workload: Workload, seed: u64) -> Self {
-        let topo = Topology::paper_testbed(SncMode::Disabled);
-        let dataset_bytes = record_count * 1024;
-        let mut tc = TierConfig::bind(vec![DRAM0]);
-        tc.policy = AllocPolicy::interleave(vec![DRAM0], vec![CXL_FIXED, CXL_LEASED], 1, 1);
-        // Base coverage is deliberately lean: 35% DRAM + 40% fixed
-        // expander, so the flash-resident tail is real capacity
-        // pressure. That makes the lease a live performance lever in
-        // BOTH regimes — pre-fault a day-peak tenant leases to lift the
-        // tail out of flash, and the slabs it already holds when the
-        // fixed expander dies absorb the relocated pages (a reactive
-        // post-fault grant can only promote the hot set back; pages
-        // spilled to flash at fault time otherwise stay cold).
-        tc.capacity_override = vec![
-            (DRAM0, dataset_bytes * 7 / 20),
-            (NodeId(1), 0),
-            (CXL_FIXED, dataset_bytes * 2 / 5),
-            (CXL_LEASED, 0),
-        ];
-        // Aggressive promotion (vs the 128 MiB/s steady-tiering limit
-        // the autotune study uses): when a lease lands mid-incident,
-        // refilling the hot set quickly IS the recovery — throttling it
-        // just stretches the transient the lease was bought to end.
-        tc.migration = MigrationMode::HotPageSelection(HotPageConfig {
-            promote_rate_limit_bytes_per_sec: 512.0 * 1024.0 * 1024.0,
-            ..Default::default()
-        });
-        let kv_cfg = KvConfig {
-            record_count,
-            seed: derive_seed(seed, &format!("serve.kv.{}", t.name)),
-            ..Default::default()
-        };
-        let store = KvStore::new(&topo, tc, kv_cfg, true);
-        let page = store.tier().page_size();
-        let slab_bytes = ((dataset_bytes / 8) / page).max(1) * page;
-        Self {
-            store,
-            topo,
-            workload,
-            slab_bytes,
-        }
-    }
 }
 
 /// The §4.5 LLM serving model; leased slabs add backend instances.
@@ -247,12 +188,33 @@ impl ServeWorld {
                         workload,
                         record_count,
                         ..
-                    } => Backend::Kv(Box::new(KvBackend::new(
-                        t,
-                        record_count,
+                    } => Backend::Kv(Box::new(KvBackend {
+                        // Base coverage is deliberately lean: 35% DRAM +
+                        // 40% fixed expander, so the flash-resident tail
+                        // is real capacity pressure. That makes the lease
+                        // a live performance lever in BOTH regimes —
+                        // pre-fault a day-peak tenant leases to lift the
+                        // tail out of flash, and the slabs it already
+                        // holds when the fixed expander dies absorb the
+                        // relocated pages (a reactive post-fault grant can
+                        // only promote the hot set back; pages spilled to
+                        // flash at fault time otherwise stay cold).
+                        //
+                        // Promotion is aggressive (vs the 32 MiB/s
+                        // steady-tiering limit the autotune study uses):
+                        // when a lease lands mid-incident, refilling the
+                        // hot set quickly IS the recovery — throttling it
+                        // just stretches the transient the lease was
+                        // bought to end.
+                        leased: LeasedKv::new(
+                            record_count,
+                            (7, 20),
+                            (2, 5),
+                            512.0 * 1024.0 * 1024.0,
+                            derive_seed(cfg.seed, &format!("serve.kv.{}", t.name)),
+                        ),
                         workload,
-                        cfg.seed,
-                    ))),
+                    })),
                     TenantClass::Llm { .. } => Backend::Llm(Box::new(LlmBackend::new())),
                 };
                 TenantRt {
@@ -313,37 +275,19 @@ impl ServeWorld {
             return Ok(());
         }
         self.accrue(self.clock);
-        let host = HostId(ti);
-        let now = self.clock;
-        if target > cur {
-            let want = target - cur;
-            let resp = self.pool.request(host, want, now);
-            let granted = resp.outcome.granted_now();
-            if granted < want {
-                self.pool.cancel_queued(host);
-                if granted > 0 {
-                    self.pool.release(host, granted, now);
-                }
-                return Err(CtlError::Rejected(format!(
-                    "pool granted {granted}/{want} slabs"
-                )));
-            }
-            if let Backend::Kv(kv) = &mut self.tenants[ti].backend {
-                if let Err(e) = kv.store.grow_expander(CXL_LEASED, target * kv.slab_bytes) {
-                    self.pool.release(host, want, now);
-                    return Err(CtlError::Rejected(e.to_string()));
-                }
-            }
-        } else {
-            if let Backend::Kv(kv) = &mut self.tenants[ti].backend {
-                kv.store
-                    .shrink_expander(&kv.topo, CXL_LEASED, target * kv.slab_bytes)
-                    .map_err(|e| CtlError::Rejected(e.to_string()))?;
-            }
-            self.pool.release(host, cur - target, now);
-        }
         let t = &mut self.tenants[ti];
-        t.held_slabs = target;
+        let kv = match &mut t.backend {
+            Backend::Kv(kv) => Some(&mut kv.leased),
+            Backend::Llm(_) => None,
+        };
+        lease::resize(
+            &mut self.pool,
+            HostId(ti),
+            &mut t.held_slabs,
+            target,
+            self.clock,
+            kv,
+        )?;
         t.peak_slabs = t.peak_slabs.max(target);
         if target > cur {
             self.lease_grows += 1;
@@ -368,14 +312,7 @@ impl ServeWorld {
     fn inject_fault(&mut self) {
         for t in &mut self.tenants {
             match &mut t.backend {
-                Backend::Kv(kv) => {
-                    FaultKind::ExpanderOffline { node: CXL_FIXED }
-                        .apply(&mut kv.topo)
-                        .expect("offline fault is valid on the paper testbed");
-                    kv.store
-                        .fail_expander(&kv.topo, CXL_FIXED)
-                        .expect("evacuation survives with flash on");
-                }
+                Backend::Kv(kv) => kv.leased.fail_fixed_expander(),
                 Backend::Llm(lb) => {
                     let node = lb
                         .topo
@@ -415,34 +352,12 @@ impl Plant for ServeWorld {
     /// Audits the lease/grant/capacity triangle for every tenant.
     fn check_invariants(&self) -> Result<(), String> {
         for (ti, t) in self.tenants.iter().enumerate() {
-            if self.pool.granted_slabs(HostId(ti)) != t.held_slabs {
-                return Err(format!(
-                    "tenant {}: pool grant {} != held lease {}",
-                    t.cfg.name,
-                    self.pool.granted_slabs(HostId(ti)),
-                    t.held_slabs
-                ));
-            }
-            if let Backend::Kv(kv) = &t.backend {
-                let page = kv.store.tier().page_size();
-                let (used, cap) = kv.store.tier().node_usage(CXL_LEASED);
-                let expect_cap = t.held_slabs * kv.slab_bytes / page;
-                if cap != expect_cap {
-                    return Err(format!(
-                        "tenant {}: leased node capacity {cap} pages != {expect_cap} for {} slabs",
-                        t.cfg.name, t.held_slabs
-                    ));
-                }
-                if used > cap {
-                    return Err(format!(
-                        "tenant {}: leased node holds {used} pages > capacity {cap}",
-                        t.cfg.name
-                    ));
-                }
-            }
-        }
-        if self.pool.used_slabs() > self.pool.total_slabs() {
-            return Err("pool oversubscribed".to_string());
+            let kv = match &t.backend {
+                Backend::Kv(kv) => Some(&kv.leased),
+                Backend::Llm(_) => None,
+            };
+            lease::audit(&self.pool, HostId(ti), t.held_slabs, kv)
+                .map_err(|e| format!("tenant {}: {e}", t.cfg.name))?;
         }
         Ok(())
     }
@@ -494,7 +409,9 @@ fn dispatch(e: &mut Engine<ServeWorld>, ti: usize) {
         let q = t.queue.pop_front().expect("checked non-empty");
         t.busy += 1;
         let svc = match (&mut t.backend, q.work) {
-            (Backend::Kv(kv), Work::Kv { ops }) => kv.store.service_request(now, kv.workload, ops),
+            (Backend::Kv(kv), Work::Kv { ops }) => {
+                kv.leased.store.service_request(now, kv.workload, ops)
+            }
             (Backend::Llm(lb), Work::Llm { req }) => {
                 let tt = token_time(&lb.cluster, lb.placement, t.busy);
                 request_timing(tt, req, lb.kv_growth_per_kt).total
@@ -809,13 +726,7 @@ pub fn run_serve(cfg: &ServeConfig) -> ServeReport {
             // DRAM plus the fixed expander; LLM tenants hold their base
             // backend instances.
             let base_slab_equiv = match &t.backend {
-                Backend::Kv(kv) => {
-                    let dataset = match t.cfg.class {
-                        TenantClass::Kv { record_count, .. } => record_count * 1024,
-                        TenantClass::Llm { .. } => unreachable!(),
-                    };
-                    (dataset * 7 / 20 + dataset * 2 / 5) as f64 / kv.slab_bytes as f64
-                }
+                Backend::Kv(kv) => kv.leased.base_slabs(),
                 Backend::Llm(_) => t.cfg.workers as f64,
             };
             base_cost_units += base_slab_equiv * horizon_s * w.cfg.cost.dram_cost_per_slab_s;

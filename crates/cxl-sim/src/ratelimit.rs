@@ -50,19 +50,17 @@ impl TokenBucket {
         // bucket at an earlier instant than a previous observation is a
         // simulation-ordering bug, and silently ignoring it would let
         // the bucket answer with state from the caller's future. Debug
-        // builds fail loudly (unless the `soft-time-regression` feature
-        // selects the release behavior, so tests can cover it); release
-        // builds count the regression and answer conservatively: no
-        // refill, `last` unchanged, so the bucket is never refilled from
-        // an interval that already elapsed once.
+        // builds fail loudly; release builds count the regression and
+        // answer conservatively: no refill, `last` unchanged, so the
+        // bucket is never refilled from an interval that already
+        // elapsed once.
         if now < self.last {
             cxl_obs::counter_add("sim/tokenbucket_time_regressions", 1);
-            #[cfg(all(debug_assertions, not(feature = "soft-time-regression")))]
-            panic!(
+            debug_assert!(
+                false,
                 "token bucket observed time regression: now {now:?} < last {last:?}",
                 last = self.last,
             );
-            #[cfg(any(not(debug_assertions), feature = "soft-time-regression"))]
             return;
         }
         if now > self.last {
@@ -289,10 +287,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(
-        any(not(debug_assertions), feature = "soft-time-regression"),
-        ignore = "debug-only check (and disabled by soft-time-regression)"
-    )]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "time regression")]
     fn time_regression_is_rejected_in_debug() {
         let mut b = TokenBucket::new(100.0, 50.0);
@@ -303,14 +298,10 @@ mod tests {
     }
 
     /// The release-mode path: regressions are counted and answered
-    /// conservatively instead of panicking. Runs in release builds, or
-    /// in debug builds with `--features soft-time-regression` (how CI
-    /// exercises it without a release test pass).
+    /// conservatively instead of panicking. Runs in release builds
+    /// (`cargo test --release -p cxl-sim`).
     #[test]
-    #[cfg_attr(
-        all(debug_assertions, not(feature = "soft-time-regression")),
-        ignore = "release-path check; enable feature soft-time-regression"
-    )]
+    #[cfg(not(debug_assertions))]
     fn time_regression_counts_and_freezes_refill() {
         let reg = std::sync::Arc::new(cxl_obs::Registry::new());
         let _scope = cxl_obs::scope(reg.clone());

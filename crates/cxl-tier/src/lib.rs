@@ -23,13 +23,16 @@
 //!
 //! The manager also aggregates per-epoch traffic (application reads and
 //! writes plus migration copies) into `cxl-perf` [`cxl_perf::FlowSpec`]s
-//! so applications can price memory accesses under contention.
+//! so applications can price memory accesses under contention;
+//! [`PricedTier`] does that pricing once per epoch for every application
+//! that reads latencies from the model.
 
 pub mod error;
 pub mod manager;
 pub mod migration;
 pub mod page;
 pub mod policy;
+pub mod priced;
 pub mod stats;
 pub mod trace;
 pub mod traffic;
@@ -39,6 +42,7 @@ pub use manager::{AccessOutcome, EvacuationReport, OutOfMemory, Rw, TierConfig, 
 pub use migration::{BandwidthAwareConfig, HotPageConfig, MigrationMode, NumaBalancingConfig};
 pub use page::{Location, PageId};
 pub use policy::AllocPolicy;
+pub use priced::PricedTier;
 pub use stats::{TierSnapshot, TierStats};
 pub use trace::{TierEvent, TraceRing, TracedEvent};
 pub use traffic::TrafficEpoch;
