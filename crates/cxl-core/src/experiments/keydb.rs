@@ -2,11 +2,12 @@
 
 use serde::Serialize;
 
-use cxl_kv::{KvConfig, KvStore, MemProfile};
+use cxl_kv::{KvConfig, KvStore, MemProfile, RunResult};
 use cxl_stats::report::{Figure, Series, Table};
+use cxl_stats::rng::derive_seed;
 use cxl_stats::Histogram;
 use cxl_topology::{SncMode, Topology};
-use cxl_ycsb::Workload;
+use cxl_ycsb::{OpTrace, Workload};
 
 use crate::config::CapacityConfig;
 use crate::runner::Runner;
@@ -156,9 +157,9 @@ impl KeydbStudy {
     }
 }
 
-fn build_store(config: CapacityConfig, params: Fig5Params) -> KvStore {
-    let topo = Topology::paper_testbed(SncMode::Disabled);
-    let kv = KvConfig {
+/// The KeyDB configuration of every Fig. 5 store.
+fn kv_config(params: Fig5Params) -> KvConfig {
+    KvConfig {
         record_count: params.record_count,
         value_size: 1024,
         server_threads: 7,
@@ -167,19 +168,18 @@ fn build_store(config: CapacityConfig, params: Fig5Params) -> KvStore {
         epoch_ops: 2_000,
         eviction: cxl_kv::EvictionPolicy::Clock,
         seed: params.seed,
-    };
-    let dataset = params.record_count * 1024;
-    let (tier, flash) = config.tier_config(&topo, dataset);
-    KvStore::new(&topo, tier, kv, flash)
+    }
 }
 
-/// Runs one cell.
-pub fn run_cell(config: CapacityConfig, workload: Workload, params: Fig5Params) -> KeydbCell {
-    let mut store = build_store(config, params);
-    if params.warmup_ops > 0 {
-        store.run(workload, params.warmup_ops);
-    }
-    let r = store.run(workload, params.ops);
+fn build_store(config: CapacityConfig, params: Fig5Params) -> KvStore {
+    let topo = Topology::paper_testbed(SncMode::Disabled);
+    let dataset = params.record_count * 1024;
+    let (tier, flash) = config.tier_config(&topo, dataset);
+    KvStore::new(&topo, tier, kv_config(params), flash)
+}
+
+/// A cell from its measured run.
+fn cell(config: CapacityConfig, workload: Workload, r: RunResult) -> KeydbCell {
     KeydbCell {
         config: config.label(),
         workload: workload.label(),
@@ -190,6 +190,25 @@ pub fn run_cell(config: CapacityConfig, workload: Workload, params: Fig5Params) 
     }
 }
 
+/// Runs one cell.
+pub fn run_cell(config: CapacityConfig, workload: Workload, params: Fig5Params) -> KeydbCell {
+    let mut store = build_store(config, params);
+    if params.warmup_ops > 0 {
+        store.run(workload, params.warmup_ops);
+    }
+    cell(config, workload, store.run(workload, params.ops))
+}
+
+/// Records the runs [`run_cell`] draws on a store seeded with
+/// `params.seed`: the warm-up, when there is one, and the measured run.
+fn record_runs(workload: Workload, params: Fig5Params) -> (Option<OpTrace>, OpTrace) {
+    let kv = kv_config(params);
+    let record = |run, ops| OpTrace::record(workload, kv.run_generator_config(run), ops);
+    let warmup = (params.warmup_ops > 0).then(|| record(0, params.warmup_ops));
+    let measured = record(u64::from(warmup.is_some()), params.ops);
+    (warmup, measured)
+}
+
 /// Runs the full Fig. 5 grid on the environment-configured runner.
 pub fn run(params: Fig5Params) -> KeydbStudy {
     run_with(&Runner::from_env(), params)
@@ -197,21 +216,38 @@ pub fn run(params: Fig5Params) -> KeydbStudy {
 
 /// Runs the full Fig. 5 grid on an explicit runner.
 ///
-/// Each cell's store is seeded from the root seed and the workload
-/// label: configurations stay paired on one workload trace (the paper
-/// runs the same YCSB stream against every Table 1 configuration), and
-/// the stream is a pure function of the label, so the output is
-/// bit-identical for any worker count.
+/// The paper runs the same YCSB stream against every Table 1
+/// configuration, and so does the study: each workload's warm-up and
+/// measured streams are recorded once and replayed into all seven
+/// configurations' stores, which [`KvStore::replay`] only accepts as
+/// the runs [`run_cell`] would draw. Each workload's cells share the
+/// label `fig5/{workload}`, so their stores share its seed, and the
+/// output is bit-identical to [`run_cell`] on every cell for any
+/// worker count. Only one workload's recordings are alive at a time.
 pub fn run_with(runner: &Runner, params: Fig5Params) -> KeydbStudy {
-    let mut grid = Vec::new();
-    for config in CapacityConfig::all() {
-        for workload in Workload::all() {
-            grid.push((format!("fig5/{}", workload.label()), (config, workload)));
+    let configs = CapacityConfig::all();
+    let mut columns = Vec::new();
+    for workload in Workload::all() {
+        let label = format!("fig5/{}", workload.label());
+        let seed = derive_seed(params.seed, &label);
+        let (warmup, measured) = record_runs(workload, Fig5Params { seed, ..params });
+        let grid = configs.iter().map(|&c| (label.clone(), c)).collect();
+        let cells = runner.map_seeded(params.seed, grid, |config, seed| {
+            let mut store = build_store(config, Fig5Params { seed, ..params });
+            if let Some(trace) = &warmup {
+                store.replay(trace);
+            }
+            cell(config, workload, store.replay(&measured))
+        });
+        columns.push(cells.into_iter());
+    }
+    // Configuration-major order, as the figures and the JSON read it.
+    let mut cells = Vec::with_capacity(configs.len() * columns.len());
+    for _ in configs {
+        for column in &mut columns {
+            cells.push(column.next().expect("one cell per configuration"));
         }
     }
-    let cells = runner.map_seeded(params.seed, grid, |(config, workload), seed| {
-        run_cell(config, workload, Fig5Params { seed, ..params })
-    });
     KeydbStudy { cells, params }
 }
 

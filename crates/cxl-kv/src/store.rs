@@ -21,25 +21,46 @@ use cxl_tier::{
     TierStats,
 };
 use cxl_topology::{NodeId, Topology};
-use cxl_ycsb::{Generator, GeneratorConfig, Op, Workload};
+use cxl_ycsb::{Generator, GeneratorConfig, Op, OpTrace, Workload};
 use rand::rngs::SmallRng;
 
-/// Ops pre-generated per block in the run loops. Blocks amortize the
-/// generator's per-op obs flush ([`Generator::batch`] tallies counters
-/// locally) without changing the op stream — generation order is
-/// independent of store state, so drawing ahead is observationally
-/// equivalent.
-const GEN_BLOCK: usize = 1024;
+/// Ops pre-generated per block by [`LiveOps`].
+const GEN_BLOCK: u64 = 1024;
 
-/// Pulls the next op off `buf`, refilling it with a block when empty.
-/// `remaining` is the number of ops still owed including this one, so
-/// the final block never over-draws the generator.
-fn next_buffered_op(generator: &mut Generator, buf: &mut VecDeque<Op>, remaining: u64) -> Op {
-    if buf.is_empty() {
-        let n = (remaining as usize).min(GEN_BLOCK);
-        buf.extend(generator.batch(n));
+/// A live YCSB stream of `left` more ops, drawn ahead in blocks.
+///
+/// Blocks amortize the generator's per-op obs flush
+/// ([`Generator::batch`] tallies counters locally) without changing the
+/// op stream: generation order is independent of store state, so
+/// drawing ahead is observationally equivalent. The last block never
+/// draws past `left`.
+struct LiveOps {
+    generator: Generator,
+    buf: VecDeque<Op>,
+    left: u64,
+}
+
+impl LiveOps {
+    fn new(workload: Workload, cfg: GeneratorConfig, ops: u64) -> Self {
+        Self {
+            generator: Generator::new(workload, cfg),
+            buf: VecDeque::new(),
+            left: ops,
+        }
     }
-    buf.pop_front().expect("refilled with remaining >= 1")
+}
+
+impl Iterator for LiveOps {
+    type Item = Op;
+
+    fn next(&mut self) -> Option<Op> {
+        if self.buf.is_empty() && self.left > 0 {
+            let n = self.left.min(GEN_BLOCK);
+            self.left -= n;
+            self.buf.extend(self.generator.batch(n as usize));
+        }
+        self.buf.pop_front()
+    }
 }
 
 /// CPU/memory cost profile of one KeyDB operation.
@@ -113,6 +134,27 @@ pub struct KvConfig {
     pub seed: u64,
 }
 
+impl KvConfig {
+    /// The generator configuration of a store's op stream number `run`
+    /// when that stream is a closed-loop [`KvStore::run`]. Recording an
+    /// [`OpTrace`] from it gives the trace [`KvStore::replay`] accepts
+    /// as that run.
+    pub fn run_generator_config(&self, run: u64) -> GeneratorConfig {
+        self.stream_config("run", run)
+    }
+
+    /// Stream `run`'s generator configuration: the store's record count
+    /// and value size, seeded from the root seed and `{label}.{run}`.
+    /// `label` names the entry point (`run`, `openloop` or `serve`).
+    fn stream_config(&self, label: &str, run: u64) -> GeneratorConfig {
+        GeneratorConfig {
+            record_count: self.record_count,
+            value_size: self.value_size,
+            seed: cxl_stats::rng::derive_seed(self.seed, &format!("{label}.{run}")),
+        }
+    }
+}
+
 impl Default for KvConfig {
     fn default() -> Self {
         Self {
@@ -159,8 +201,7 @@ impl RunResult {
 /// but the op stream must stay one continuous deterministic YCSB trace.
 struct ServeSession {
     workload: Workload,
-    generator: Generator,
-    buf: VecDeque<Op>,
+    stream: LiveOps,
     ops: u64,
 }
 
@@ -177,6 +218,8 @@ pub struct KvStore {
     referenced: Vec<bool>,
     flash: bool,
     now: SimTime,
+    /// Op streams opened so far (runs, open-loop runs and serving
+    /// sessions); numbers the next stream's seed.
     runs: u64,
     /// Deterministic sampler for Random/LFU eviction.
     evict_rng: SmallRng,
@@ -198,10 +241,19 @@ impl KvStore {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.epoch_ops` is zero, or if the dataset cannot be
+    /// Panics if `cfg.epoch_ops`, `cfg.server_threads` or
+    /// `cfg.client_concurrency` is zero, or if the dataset cannot be
     /// placed (no SSD and nodes too small).
     pub fn new(topo: &Topology, mut tier_cfg: TierConfig, cfg: KvConfig, flash: bool) -> Self {
         assert!(cfg.epoch_ops > 0, "KvConfig::epoch_ops must be positive");
+        assert!(
+            cfg.server_threads > 0,
+            "KvConfig::server_threads must be positive"
+        );
+        assert!(
+            cfg.client_concurrency > 0,
+            "KvConfig::client_concurrency must be positive"
+        );
         tier_cfg.allow_ssd_spill = flash;
         let mut mem = PricedTier::new(topo, tier_cfg);
         let tm = mem.tier_mut();
@@ -318,6 +370,13 @@ impl KvStore {
     /// [`TierManager::set_demote_batch`]).
     pub fn set_demote_batch(&mut self, batch: usize) -> Result<(), TierError> {
         self.mem.tier_mut().set_demote_batch(batch)
+    }
+
+    /// Opens the store's next op stream for the entry point `label`.
+    fn next_stream(&mut self, label: &str) -> GeneratorConfig {
+        let cfg = self.cfg.stream_config(label, self.runs);
+        self.runs += 1;
+        cfg
     }
 
     /// The store's tiering clock (advances as workload runs execute).
@@ -579,7 +638,13 @@ impl KvStore {
             rate_ops_per_sec > 0.0 && rate_ops_per_sec.is_finite(),
             "invalid arrival rate {rate_ops_per_sec}"
         );
-        self.run_ops(workload, ops, Some(rate_ops_per_sec))
+        let gen_cfg = self.next_stream("openloop");
+        let arrivals = Arrivals::Open {
+            rng: cxl_stats::rng::stream_rng(gen_cfg.seed, "arrivals"),
+            gap: Exponential::new(rate_ops_per_sec),
+            at_s: self.now.as_secs_f64(),
+        };
+        self.run_ops(LiveOps::new(workload, gen_cfg, ops), ops, arrivals)
     }
 
     /// Queue-fed serving entry point: prices one request of `ops`
@@ -614,18 +679,13 @@ impl KvStore {
         self.now = self.now.max(now);
         let fresh = !matches!(&self.serve, Some(s) if s.workload == workload);
         if fresh {
-            let run_seed =
-                cxl_stats::rng::derive_seed(self.cfg.seed, &format!("serve.{}", self.runs));
-            self.runs += 1;
-            let gen_cfg = GeneratorConfig {
-                record_count: self.cfg.record_count,
-                value_size: self.cfg.value_size,
-                seed: run_seed,
-            };
+            let gen_cfg = self.next_stream("serve");
             self.serve = Some(ServeSession {
                 workload,
-                generator: Generator::new(workload, gen_cfg),
-                buf: VecDeque::new(),
+                // The session's stream never ends, so refills always
+                // draw a full block, amortized across the small
+                // per-request op counts.
+                stream: LiveOps::new(workload, gen_cfg, u64::MAX),
                 ops: 0,
             });
         }
@@ -634,11 +694,7 @@ impl KvStore {
         let mut session = self.serve.take().expect("session opened above");
         let mut total_ns = 0.0f64;
         for _ in 0..ops {
-            // The session's stream never ends, so refills always draw a
-            // full block (generation is state-independent; drawing ahead
-            // is observationally equivalent and amortizes across the
-            // small per-request op counts).
-            let op = next_buffered_op(&mut session.generator, &mut session.buf, GEN_BLOCK as u64);
+            let op = session.stream.next().expect("a serving stream never ends");
             let (service_ns, _hit_ssd) = self.service_op(op);
             total_ns += service_ns;
             session.ops += 1;
@@ -657,46 +713,57 @@ impl KvStore {
     /// identical trace, so warm-up runs do not pre-answer the measured
     /// run's exact key sequence.
     pub fn run(&mut self, workload: Workload, ops: u64) -> RunResult {
-        self.run_ops(workload, ops, None)
+        let gen_cfg = self.next_stream("run");
+        let clients = Arrivals::closed(self.cfg.client_concurrency);
+        self.run_ops(LiveOps::new(workload, gen_cfg, ops), ops, clients)
     }
 
-    /// The op loop of [`run`] (closed-loop clients, `open_rate` = `None`)
-    /// and of [`run_open_loop`] (Poisson arrivals at `open_rate`).
+    /// Replays a recorded op stream as the store's next [`run`].
+    ///
+    /// The result is bit-identical to `run(trace.workload(),
+    /// trace.len())`, without drawing the stream: stores paired on one
+    /// stream (Fig. 5's seven configurations) share one recording.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace was not recorded from this store's next run,
+    /// [`KvConfig::run_generator_config`] at the store's next stream
+    /// number, naming both configurations.
     ///
     /// [`run`]: KvStore::run
+    pub fn replay(&mut self, trace: &OpTrace) -> RunResult {
+        let run = self.runs;
+        let gen_cfg = self.next_stream("run");
+        assert!(
+            *trace.config() == gen_cfg,
+            "trace recorded from {:?} is not this store's run {run}, {gen_cfg:?}",
+            trace.config()
+        );
+        let clients = Arrivals::closed(self.cfg.client_concurrency);
+        self.run_ops(trace.replay(), trace.len(), clients)
+    }
+
+    /// The op loop of [`run`] and [`replay`] (closed-loop clients) and
+    /// of [`run_open_loop`] (Poisson arrivals): serves the `ops` ops of
+    /// `source` as `arrivals` issues them.
+    ///
+    /// [`run`]: KvStore::run
+    /// [`replay`]: KvStore::replay
     /// [`run_open_loop`]: KvStore::run_open_loop
-    fn run_ops(&mut self, workload: Workload, ops: u64, open_rate: Option<f64>) -> RunResult {
-        let label = if open_rate.is_some() {
-            "openloop"
-        } else {
-            "run"
-        };
-        let run_seed =
-            cxl_stats::rng::derive_seed(self.cfg.seed, &format!("{label}.{}", self.runs));
-        self.runs += 1;
-        let gen_cfg = GeneratorConfig {
-            record_count: self.cfg.record_count,
-            value_size: self.cfg.value_size,
-            seed: run_seed,
-        };
-        let mut generator = Generator::new(workload, gen_cfg);
+    fn run_ops(
+        &mut self,
+        mut source: impl Iterator<Item = Op>,
+        ops: u64,
+        mut arrivals: Arrivals,
+    ) -> RunResult {
         let start = self.now;
-        let mut arrivals = match open_rate {
-            None => Arrivals::Closed(vec![SimTime::ZERO; self.cfg.client_concurrency]),
-            Some(rate) => Arrivals::Open {
-                rng: cxl_stats::rng::stream_rng(run_seed, "arrivals"),
-                gap: cxl_stats::Exponential::new(rate),
-                at_s: start.as_secs_f64(),
-            },
-        };
         let mut servers = MultiServer::new(self.cfg.server_threads);
         let mut latency = Histogram::new();
         let mut read_latency = Histogram::new();
         let mut ssd_hits = 0u64;
-        let mut op_buf = VecDeque::new();
 
         for i in 0..ops {
-            let op = next_buffered_op(&mut generator, &mut op_buf, ops - i);
+            let op = source.next().expect("the op source holds the run's ops");
             let arrival = arrivals.next(i, start);
             // `self.now` is the tiering clock and must stay monotone: the
             // tier manager's rate limiter and recency tracking observe
@@ -756,6 +823,11 @@ enum Arrivals {
 }
 
 impl Arrivals {
+    /// `clients` closed-loop clients, all idle.
+    fn closed(clients: usize) -> Self {
+        Arrivals::Closed(vec![SimTime::ZERO; clients])
+    }
+
     /// Arrival instant of op `i` of a run that started at `start`.
     fn next(&mut self, i: u64, start: SimTime) -> SimTime {
         match self {
@@ -1187,5 +1259,88 @@ mod tests {
             ..kv_cfg()
         };
         KvStore::new(&topo(), TierConfig::bind(vec![DRAM0]), cfg, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "KvConfig::server_threads must be positive")]
+    fn zero_server_threads_is_rejected() {
+        let cfg = KvConfig {
+            server_threads: 0,
+            ..kv_cfg()
+        };
+        KvStore::new(&topo(), TierConfig::bind(vec![DRAM0]), cfg, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "KvConfig::client_concurrency must be positive")]
+    fn zero_client_concurrency_is_rejected() {
+        let cfg = KvConfig {
+            client_concurrency: 0,
+            ..kv_cfg()
+        };
+        KvStore::new(&topo(), TierConfig::bind(vec![DRAM0]), cfg, false);
+    }
+
+    #[test]
+    fn replayed_traces_match_live_runs() {
+        // Twin stores: one draws its warm-up and measured runs live, the
+        // other replays them from recordings. Under D the inserts grow
+        // the dataset, so the twins must also allocate alike.
+        let flash_store = || ssd_store(0.6);
+        let stores = [
+            ("flash CLOCK", flash_store as fn() -> KvStore),
+            ("Hot-Promote", hot_promote_store),
+        ];
+        for (name, store) in stores {
+            for w in [Workload::A, Workload::D] {
+                let (mut live, mut replayed) = (store(), store());
+                for (run, ops) in [(0, 30_000), (1, 20_000)] {
+                    let a = live.run(w, ops);
+                    let gen_cfg = replayed.cfg.run_generator_config(run);
+                    let b = replayed.replay(&OpTrace::record(w, gen_cfg, ops));
+                    let at = format!("{name}, {}, run {run}", w.label());
+                    assert_eq!((a.ops, a.duration), (b.ops, b.duration), "{at}");
+                    assert_eq!(a.latency, b.latency, "{at}");
+                    assert_eq!(a.read_latency, b.read_latency, "{at}");
+                    assert_eq!(a.ssd_hits, b.ssd_hits, "{at}");
+                    assert_eq!(a.throughput_ops.to_bits(), b.throughput_ops.to_bits());
+                    assert_eq!(a.tier_stats, b.tier_stats, "{at}");
+                }
+                assert_eq!(live.page_count(), replayed.page_count(), "{name}");
+                assert_eq!(live.residency(), replayed.residency(), "{name}");
+                // Pages moved: flash cached them in from SSD, Hot-Promote
+                // promoted them.
+                let stats = live.tier().stats();
+                assert!(
+                    stats.ssd_loads + stats.promotions > 0,
+                    "{name}: no page moved"
+                );
+                if w == Workload::D {
+                    assert!(
+                        live.page_count() > store().page_count(),
+                        "{name}: D grew nothing"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is not this store's run 0")]
+    fn replay_refuses_another_runs_trace() {
+        let mut s = mmem_store();
+        let gen_cfg = s.cfg.run_generator_config(1);
+        s.replay(&OpTrace::record(Workload::A, gen_cfg, 10));
+    }
+
+    #[test]
+    #[should_panic(expected = "is not this store's run 0")]
+    fn replay_refuses_another_stores_trace() {
+        let other = KvConfig {
+            seed: 43,
+            ..kv_cfg()
+        };
+        let trace = OpTrace::record(Workload::A, other.run_generator_config(0), 10);
+        mmem_store().replay(&trace);
     }
 }

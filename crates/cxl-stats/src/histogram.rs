@@ -32,7 +32,7 @@ const SUB_BUCKET_BITS: u32 = 6;
 /// assert_eq!(h.count(), 5);
 /// assert!(h.percentile(50.0) >= 200 && h.percentile(50.0) <= 310);
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Histogram {
     counts: Vec<u64>,
     count: u64,

@@ -5,7 +5,8 @@
 //! The paper benchmarks KeyDB with four YCSB workloads at 1 KB record
 //! size: A (50/50 read/update, Zipfian), B (95/5, Zipfian), C (read-only,
 //! Zipfian), and D (95/5 read/insert, latest). This crate produces those
-//! operation streams deterministically.
+//! operation streams deterministically, live ([`Generator`]) or as a
+//! recorded stream that replays into any number of stores ([`OpTrace`]).
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -99,7 +100,37 @@ pub enum Op {
     ReadModifyWrite(u64),
 }
 
+/// The per-type op counters, indexed by [`Op::kind`].
+const OP_COUNTERS: [&str; 5] = [
+    "ycsb/ops/read",
+    "ycsb/ops/update",
+    "ycsb/ops/insert",
+    "ycsb/ops/scan",
+    "ycsb/ops/rmw",
+];
+
+/// Adds a per-type op tally to the `ycsb/ops/*` counters.
+fn flush_tally(tally: &[u64; 5]) {
+    for (name, &count) in OP_COUNTERS.iter().zip(tally) {
+        if count > 0 {
+            cxl_obs::counter_add(name, count);
+        }
+    }
+}
+
 impl Op {
+    /// The op's type as an index into [`OP_COUNTERS`]; also its tag in
+    /// an [`OpTrace`] word.
+    fn kind(self) -> usize {
+        match self {
+            Op::Read(_) => 0,
+            Op::Update(_) => 1,
+            Op::Insert(_) => 2,
+            Op::Scan { .. } => 3,
+            Op::ReadModifyWrite(_) => 4,
+        }
+    }
+
     /// The (first) key the operation targets.
     pub fn key(self) -> u64 {
         match self {
@@ -115,7 +146,7 @@ impl Op {
 }
 
 /// Workload generator configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GeneratorConfig {
     /// Number of pre-loaded records.
     pub record_count: u64,
@@ -197,16 +228,7 @@ impl Generator {
     /// Draws the next operation.
     pub fn next_op(&mut self) -> Op {
         let op = self.draw_op();
-        cxl_obs::counter_add(
-            match op {
-                Op::Read(_) => "ycsb/ops/read",
-                Op::Update(_) => "ycsb/ops/update",
-                Op::Insert(_) => "ycsb/ops/insert",
-                Op::Scan { .. } => "ycsb/ops/scan",
-                Op::ReadModifyWrite(_) => "ycsb/ops/rmw",
-            },
-            1,
-        );
+        cxl_obs::counter_add(OP_COUNTERS[op.kind()], 1);
         op
     }
 
@@ -244,36 +266,146 @@ impl Generator {
     /// off the same RNG stream in the same order and the per-type obs
     /// counters reach the same totals — but the counters are tallied
     /// locally and flushed once per type per batch instead of once per
-    /// op, which removes the dominant constant from the op-generation
-    /// hot path (the fig5 KV slice is the slowest bench in the suite).
+    /// op, which removes the dominant constant from live op generation
+    /// (the `KvStore` run loops and serving sessions draw through it).
     pub fn batch(&mut self, n: usize) -> Vec<Op> {
         let mut tally = [0u64; 5];
-        let ops: Vec<Op> = (0..n)
+        let ops = (0..n)
             .map(|_| {
                 let op = self.draw_op();
-                tally[match op {
-                    Op::Read(_) => 0,
-                    Op::Update(_) => 1,
-                    Op::Insert(_) => 2,
-                    Op::Scan { .. } => 3,
-                    Op::ReadModifyWrite(_) => 4,
-                }] += 1;
+                tally[op.kind()] += 1;
                 op
             })
             .collect();
-        const NAMES: [&str; 5] = [
-            "ycsb/ops/read",
-            "ycsb/ops/update",
-            "ycsb/ops/insert",
-            "ycsb/ops/scan",
-            "ycsb/ops/rmw",
-        ];
-        for (name, &count) in NAMES.iter().zip(&tally) {
-            if count > 0 {
-                cxl_obs::counter_add(name, count);
-            }
-        }
+        flush_tally(&tally);
         ops
+    }
+}
+
+/// Bits of an [`OpTrace`] word that hold the key; the three above them
+/// hold the op's [`Op::kind`].
+const KEY_BITS: u32 = 29;
+
+/// The key field of a word whose key does not fit in [`KEY_BITS`]: the
+/// full key follows in two words, low half first.
+const WIDE_KEY: u32 = (1 << KEY_BITS) - 1;
+
+/// A recorded YCSB op stream, replayable into any number of stores.
+///
+/// Fig. 5 runs the same stream against all seven Table 1
+/// configurations. Each op drawn costs a Zipfian sample (two `powf`
+/// calls), so the study records each stream once and replays it into
+/// every configuration's store instead of drawing it seven times.
+///
+/// Ops are packed into `u32` words: the op's kind in the top three
+/// bits and its key in the low 29. A scan's length takes a second
+/// word, and a key of 2^29 − 1 or above takes two more words. Workloads
+/// A–D over fewer than 2^29 − 1 keys therefore take 4 bytes an op.
+#[derive(Debug)]
+pub struct OpTrace {
+    workload: Workload,
+    cfg: GeneratorConfig,
+    words: Vec<u32>,
+    /// Ops of each kind, indexed by [`Op::kind`].
+    tally: [u64; 5],
+}
+
+impl OpTrace {
+    /// Records the first `ops` ops of `Generator::new(workload, cfg)`.
+    ///
+    /// Recording adds nothing to the `ycsb/ops/*` counters; each
+    /// [`OpTrace::replay`] adds the trace's totals, as drawing the ops
+    /// live would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.record_count == 0`, as [`Generator::new`] does.
+    pub fn record(workload: Workload, cfg: GeneratorConfig, ops: u64) -> Self {
+        let mut generator = Generator::new(workload, cfg);
+        let mut trace = Self {
+            workload,
+            cfg,
+            words: Vec::with_capacity(ops as usize),
+            tally: [0; 5],
+        };
+        for _ in 0..ops {
+            trace.push(generator.draw_op());
+        }
+        trace
+    }
+
+    fn push(&mut self, op: Op) {
+        self.tally[op.kind()] += 1;
+        let tag = (op.kind() as u32) << KEY_BITS;
+        let key = op.key();
+        if key < u64::from(WIDE_KEY) {
+            self.words.push(tag | key as u32);
+        } else {
+            self.words
+                .extend([tag | WIDE_KEY, key as u32, (key >> 32) as u32]);
+        }
+        if let Op::Scan { len, .. } = op {
+            self.words.push(len);
+        }
+    }
+
+    /// The workload the trace was drawn from.
+    pub fn workload(&self) -> Workload {
+        self.workload
+    }
+
+    /// The generator configuration the trace was drawn from.
+    pub fn config(&self) -> &GeneratorConfig {
+        &self.cfg
+    }
+
+    /// Recorded ops.
+    pub fn len(&self) -> u64 {
+        self.tally.iter().sum()
+    }
+
+    /// True when the trace holds no ops.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Replays the ops in recorded order, adding the trace's per-type
+    /// totals to the `ycsb/ops/*` counters once.
+    pub fn replay(&self) -> Replay<'_> {
+        flush_tally(&self.tally);
+        Replay {
+            words: self.words.iter(),
+        }
+    }
+}
+
+/// The ops of an [`OpTrace`], in recorded order (see
+/// [`OpTrace::replay`]).
+pub struct Replay<'a> {
+    words: std::slice::Iter<'a, u32>,
+}
+
+impl Iterator for Replay<'_> {
+    type Item = Op;
+
+    fn next(&mut self) -> Option<Op> {
+        let word = *self.words.next()?;
+        let mut extra = || *self.words.next().expect("an op's extra words follow it");
+        let mut key = u64::from(word & WIDE_KEY);
+        if key == u64::from(WIDE_KEY) {
+            key = u64::from(extra()) | u64::from(extra()) << 32;
+        }
+        Some(match word >> KEY_BITS {
+            0 => Op::Read(key),
+            1 => Op::Update(key),
+            2 => Op::Insert(key),
+            3 => Op::Scan {
+                start: key,
+                len: extra(),
+            },
+            4 => Op::ReadModifyWrite(key),
+            kind => unreachable!("no op kind {kind}"),
+        })
     }
 }
 
@@ -317,13 +449,7 @@ mod tests {
                 ops
             };
             assert_eq!(unbatched, batched, "{}: op streams diverged", w.label());
-            for name in [
-                "ycsb/ops/read",
-                "ycsb/ops/update",
-                "ycsb/ops/insert",
-                "ycsb/ops/scan",
-                "ycsb/ops/rmw",
-            ] {
+            for name in OP_COUNTERS {
                 assert_eq!(
                     unbatched_reg.counter(name),
                     batched_reg.counter(name),
@@ -331,6 +457,76 @@ mod tests {
                     w.label()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn replay_is_bit_identical_to_batch_generation() {
+        use std::sync::Arc;
+        for w in Workload::extended() {
+            // Same config: one replica draws in blocks, one records a
+            // trace and replays it. The op streams and the per-type obs
+            // counter totals must both match exactly.
+            let cfg = *gen(w).config();
+            let batched_reg = Arc::new(cxl_obs::Registry::new());
+            let batched = {
+                let _scope = cxl_obs::scope(batched_reg.clone());
+                gen(w).batch(1000)
+            };
+            let trace = OpTrace::record(w, cfg, 1000);
+            let replayed_reg = Arc::new(cxl_obs::Registry::new());
+            let replayed = {
+                let _scope = cxl_obs::scope(replayed_reg.clone());
+                trace.replay().collect::<Vec<_>>()
+            };
+            assert_eq!(batched, replayed, "{}: op streams diverged", w.label());
+            assert_eq!((trace.workload(), *trace.config()), (w, cfg));
+            assert_eq!(trace.len(), 1000);
+            for name in OP_COUNTERS {
+                assert_eq!(
+                    batched_reg.counter(name),
+                    replayed_reg.counter(name),
+                    "{}: counter {name} diverged",
+                    w.label()
+                );
+            }
+            if Workload::all().contains(&w) {
+                assert_eq!(trace.words.len(), 1000, "{}: 4 bytes an op", w.label());
+            }
+        }
+    }
+
+    #[test]
+    fn trace_packs_wide_keys_and_scan_lengths() {
+        let mut trace = OpTrace::record(Workload::A, *gen(Workload::A).config(), 0);
+        let ops = [
+            Op::Read(0),
+            Op::Update(u64::from(WIDE_KEY) - 1),
+            Op::Insert(u64::from(WIDE_KEY)),
+            Op::Scan {
+                start: 1 << 32,
+                len: 100,
+            },
+            Op::ReadModifyWrite(u64::MAX),
+            Op::Scan { start: 7, len: 1 },
+        ];
+        for op in ops {
+            trace.push(op);
+        }
+        assert_eq!(trace.replay().collect::<Vec<_>>(), ops);
+        assert_eq!(trace.words.len(), 1 + 1 + 3 + 4 + 3 + 2);
+    }
+
+    #[test]
+    fn recording_counts_nothing_until_replayed() {
+        use std::sync::Arc;
+        let reg = Arc::new(cxl_obs::Registry::new());
+        let _scope = cxl_obs::scope(reg.clone());
+        let trace = OpTrace::record(Workload::C, *gen(Workload::C).config(), 500);
+        assert_eq!(reg.counter("ycsb/ops/read"), None);
+        for replays in 1..=2 {
+            assert_eq!(trace.replay().count(), 500);
+            assert_eq!(reg.counter("ycsb/ops/read"), Some(500 * replays));
         }
     }
 

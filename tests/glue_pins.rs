@@ -64,6 +64,22 @@ fn keydb_hot_promote_cell_is_pinned() {
     assert_eq!(digest(&c), 0xec18_c49e_09a9_3643, "keydb hot-promote");
 }
 
+/// The whole smoke-size Fig. 5 grid: 28 cells, each workload's seven
+/// configurations paired on one warm-up and one measured stream.
+const KEYDB_STUDY: u64 = 0x27c3_f2d1_bd3f_469f;
+
+#[test]
+fn keydb_study_is_pinned() {
+    let s = keydb::run_with(&Runner::serial(), keydb::Fig5Params::smoke());
+    assert_eq!(digest(&s), KEYDB_STUDY, "keydb study, serial");
+}
+
+#[test]
+fn keydb_study_is_pinned_on_four_workers() {
+    let s = keydb::run_with(&Runner::new(4), keydb::Fig5Params::smoke());
+    assert_eq!(digest(&s), KEYDB_STUDY, "keydb study, 4 workers");
+}
+
 #[test]
 fn heap_study_is_pinned() {
     let s = heap::run_with(&runner(), heap::HeapStudyParams::smoke());
