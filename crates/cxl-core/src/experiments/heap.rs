@@ -271,10 +271,12 @@ fn run_cell(p: &HeapStudyParams, label: String, spec: CellSpec, seed: u64) -> He
         heap.gc_cycles = cycles;
     }
     // Size capacities off the actual graph (page count varies with the
-    // seed), leaving room for the nursery window and churn slack.
+    // seed), leaving room for the nursery window and churn slack; the
+    // workload then runs on this same graph.
     let g = ObjectGraph::build(&heap.graph, 4096, seed);
     let heap_pages = u64::from(g.page_count) + heap.nursery_pages + 16;
     let tier = tier_config(p, spec, heap_pages);
+    debug_assert_eq!(tier.page_size, 4096, "the graph is laid out on 4 KiB pages");
     let topo = Topology::paper_testbed(SncMode::Disabled);
     let fault = spec.fault.then(|| {
         let node = topo
@@ -289,7 +291,7 @@ fn run_cell(p: &HeapStudyParams, label: String, spec: CellSpec, seed: u64) -> He
             node,
         }
     });
-    let report = HeapWorkload::new(&topo, tier, heap, spec.segregate, fault).run();
+    let report = HeapWorkload::new(&topo, tier, heap, g, spec.segregate, fault).run();
     HeapCell {
         label,
         streak: spec.streak,

@@ -249,8 +249,10 @@ pub struct HeapWorkload {
 }
 
 impl HeapWorkload {
-    /// Builds the heap: generates the object graph and places its
-    /// pages through the tier manager.
+    /// Builds the heap: places the pages of `graph` through the tier
+    /// manager. `graph` is `ObjectGraph::build(&params.graph,
+    /// tier.page_size, params.seed)`, built by the caller, who
+    /// usually sizes `tier`'s capacities off its page count.
     ///
     /// With `segregate`, old-generation pages prefer the slowest
     /// (non-top-tier) node on the accessor socket and young/nursery
@@ -260,12 +262,14 @@ impl HeapWorkload {
     ///
     /// # Panics
     ///
-    /// Panics if `params.epoch_ops` is zero, or if the heap does not fit
-    /// the configured capacities.
+    /// Panics if `params.epoch_ops` is zero, if `graph` holds another
+    /// object count than `params.graph`, or if the heap does not fit the
+    /// configured capacities.
     pub fn new(
         topo: &Topology,
         tier: TierConfig,
         params: HeapParams,
+        graph: ObjectGraph,
         segregate: bool,
         fault: Option<FaultPlan>,
     ) -> Self {
@@ -273,8 +277,11 @@ impl HeapWorkload {
             params.epoch_ops > 0,
             "HeapParams::epoch_ops must be positive"
         );
-        let page_size = tier.page_size;
-        let graph = ObjectGraph::build(&params.graph, page_size, params.seed);
+        assert_eq!(
+            graph.first_page.len(),
+            params.graph.object_count() as usize,
+            "the graph is not built from HeapParams::graph"
+        );
         let mut mem = PricedTier::new(topo, tier);
         let sys = mem.system();
         let socket = sys.sockets()[0];
@@ -709,12 +716,16 @@ mod tests {
         cfg
     }
 
-    fn smoke_workload(segregate: bool, fault: Option<FaultPlan>) -> HeapWorkload {
+    /// A workload over `params`' graph on a lean tier sized off it.
+    fn workload(params: HeapParams, segregate: bool, fault: Option<FaultPlan>) -> HeapWorkload {
         let topo = Topology::paper_testbed(SncMode::Disabled);
-        let params = HeapParams::smoke();
         let g = ObjectGraph::build(&params.graph, 4096, params.seed);
         let tier = lean_tier(4096, g.page_count as u64 + params.nursery_pages + 8);
-        HeapWorkload::new(&topo, tier, params, segregate, fault)
+        HeapWorkload::new(&topo, tier, params, g, segregate, fault)
+    }
+
+    fn smoke_workload(segregate: bool, fault: Option<FaultPlan>) -> HeapWorkload {
+        workload(HeapParams::smoke(), segregate, fault)
     }
 
     #[test]
@@ -772,12 +783,9 @@ mod tests {
 
     #[test]
     fn no_gc_control_never_traces() {
-        let topo = Topology::paper_testbed(SncMode::Disabled);
         let mut params = HeapParams::smoke();
         params.gc_cycles = 0;
-        let g = ObjectGraph::build(&params.graph, 4096, params.seed);
-        let tier = lean_tier(4096, g.page_count as u64 + params.nursery_pages + 8);
-        let r = HeapWorkload::new(&topo, tier, params, false, None).run();
+        let r = workload(params, false, None).run();
         assert_eq!(r.objects_traced, 0);
         assert_eq!(r.trace.count(), 0);
         assert_eq!(r.trace_promotions, 0);
@@ -786,11 +794,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "HeapParams::epoch_ops must be positive")]
     fn zero_epoch_ops_is_rejected() {
-        let topo = Topology::paper_testbed(SncMode::Disabled);
         let params = HeapParams {
             epoch_ops: 0,
             ..HeapParams::smoke()
         };
-        HeapWorkload::new(&topo, lean_tier(4096, 4096), params, false, None);
+        workload(params, false, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "the graph is not built from HeapParams::graph")]
+    fn another_configs_graph_is_rejected() {
+        let topo = Topology::paper_testbed(SncMode::Disabled);
+        let params = HeapParams::smoke();
+        let mut other = params.graph.clone();
+        other.young_objects += 1;
+        let g = ObjectGraph::build(&other, 4096, params.seed);
+        HeapWorkload::new(&topo, lean_tier(4096, 4096), params, g, false, None);
     }
 }

@@ -98,9 +98,10 @@ impl LeasedKv {
 /// `target` on success. Callers without a store (LLM tenants) pass
 /// `None` and take only the pool half of the transaction.
 ///
-/// A grow is all or nothing: a partial grant is cancelled, released and
-/// rejected, and a grant the store cannot take is released. A shrink
-/// drains the leased expander first and then releases the slabs.
+/// A grow is all or nothing. One the pool cannot grant in full now is
+/// rejected before the pool is asked, so it queues nothing and revokes
+/// no other host's slabs; a grant the store cannot take is released. A
+/// shrink drains the leased expander first and then releases the slabs.
 pub fn resize(
     pool: &mut PoolManager,
     host: HostId,
@@ -112,17 +113,16 @@ pub fn resize(
     let cur = *held;
     if target > cur {
         let want = target - cur;
-        let resp = pool.request(host, want, now);
-        let granted = resp.outcome.granted_now();
-        if granted < want {
-            pool.cancel_queued(host);
-            if granted > 0 {
-                pool.release(host, granted, now);
-            }
+        // A shortfall would queue and revoke slabs from other hosts to
+        // fund the queue; cancelling it afterwards leaves those marks.
+        if pool.is_offline() || pool.free_slabs() < want {
             return Err(CtlError::Rejected(format!(
-                "pool granted {granted}/{want} slabs"
+                "pool has {}/{want} slabs free",
+                pool.free_slabs()
             )));
         }
+        let granted = pool.request(host, want, now).outcome.granted_now();
+        assert_eq!(granted, want, "an online pool grants what is free");
         if let Some(kv) = kv {
             if let Err(e) = kv.store.grow_expander(CXL_LEASED, target * kv.slab_bytes) {
                 pool.release(host, want, now);
@@ -174,4 +174,58 @@ pub fn audit(
         return Err("pool oversubscribed".to_string());
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A 6-slab pool shared by two hosts, host 0 holding 5 slabs.
+    fn pool_with_host0_at_5() -> PoolManager {
+        let mut pool = PoolManager::new(6, 2, 1.0);
+        let mut held = 0;
+        resize(&mut pool, HostId(0), &mut held, 5, SimTime::ZERO, None).expect("5 of 6 are free");
+        pool
+    }
+
+    #[test]
+    fn a_grow_the_pool_cannot_meet_leaves_it_as_it_was() {
+        let mut pool = pool_with_host0_at_5();
+        for attempt in 0..2 {
+            let mut held = 0;
+            let err = resize(&mut pool, HostId(1), &mut held, 3, SimTime::ZERO, None);
+            assert!(
+                matches!(err, Err(CtlError::Rejected(_))),
+                "attempt {attempt}"
+            );
+            assert_eq!(held, 0);
+            assert_eq!(
+                (pool.stats().revocations, pool.stats().revoked_slabs),
+                (0, 0)
+            );
+            assert_eq!(
+                (pool.granted_slabs(HostId(0)), pool.granted_slabs(HostId(1))),
+                (5, 0)
+            );
+            assert_eq!((pool.queued_slabs(), pool.free_slabs()), (0, 1));
+        }
+        // No reclaim mark is left on host 0: asking the pool directly
+        // revokes exactly what it revokes in a fresh pool.
+        let mut fresh = pool_with_host0_at_5();
+        assert_eq!(
+            pool.request(HostId(1), 3, SimTime::ZERO).revocations,
+            fresh.request(HostId(1), 3, SimTime::ZERO).revocations
+        );
+        assert_eq!(pool.stats().revocations, 1);
+    }
+
+    #[test]
+    fn a_grow_on_an_offline_pool_is_rejected() {
+        let mut pool = PoolManager::new(6, 2, 1.0);
+        pool.revoke_all(SimTime::ZERO);
+        let mut held = 0;
+        let err = resize(&mut pool, HostId(1), &mut held, 1, SimTime::ZERO, None);
+        assert!(matches!(err, Err(CtlError::Rejected(_))));
+        assert_eq!(held, 0);
+    }
 }

@@ -15,7 +15,8 @@
 //! Capacity elasticity goes through the `cxl-ctl` [`Plant`] contract:
 //! the world itself is the plant, one lease knob per tenant, and every
 //! actuation is a [`lease::resize`] transaction against the shared
-//! [`PoolManager`] — partial grants roll back, shrink goes through the
+//! [`PoolManager`] — a grow the pool cannot meet in full is refused
+//! before it queues or revokes anything, shrink goes through the
 //! store's rate-limited evacuation path, and `check_invariants` runs
 //! [`lease::audit`] on every tenant after every change (violations are
 //! counted and gated at zero in CI).

@@ -5,9 +5,16 @@
 //! implementations follow the original YCSB generators (Gray et al.'s
 //! incremental Zipfian) so that hot-key skew — which drives the
 //! Hot-Promote results — matches the paper's setup.
+//!
+//! Over at most [`INVERSE_TABLE_MAX_ITEMS`] keys, [`ScrambledZipfian`]
+//! draws from an exact inverse of its own closed form: a table of the
+//! draws at which each rank starts, built once per key count from the
+//! closed form itself. A draw is then one random word, one guide read
+//! and a short scan, with no `powf`, no FNV rounds and no 64-bit `%`,
+//! and every key matches the closed form's bit for bit.
 
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use rand::Rng;
 
@@ -82,7 +89,8 @@ impl Zipfian {
             theta > 0.0 && theta < 1.0,
             "theta must be in (0, 1), got {theta}"
         );
-        Self::with_zetan(items, theta, zeta_memoized(items, theta))
+        let zetan = with_zeta_entry(items, theta, |entry| entry.zetan);
+        Self::with_zetan(items, theta, zetan)
     }
 
     /// Builds the chooser from a precomputed normalizer `zetan` = ζ(items, θ).
@@ -97,6 +105,39 @@ impl Zipfian {
             zetan,
             eta,
             zeta2theta,
+        }
+    }
+
+    /// The closed-form rank of draw `u` in `[0, 1)`: YCSB's
+    /// `ZipfianGenerator`, with rank 0 the most popular.
+    ///
+    /// Every Zipfian draw goes through here, whether live or when
+    /// [`InverseTable::build`] tabulates it. Out of line (its callers
+    /// are several), it cost `Generator::batch` about 20 ns an op at
+    /// 200,000 keys.
+    #[inline]
+    fn rank_of(&self, u: f64) -> u64 {
+        let uz = u * self.zetan;
+        if uz < 1.0 {
+            return 0;
+        }
+        if uz < 1.0 + 0.5f64.powf(self.theta) {
+            return 1;
+        }
+        let k = (self.items as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
+        k.min(self.items - 1)
+    }
+
+    /// Where the closed form's rank reaches `k`, from its analytic
+    /// inverse. Rounding puts the true threshold a few draws to either
+    /// side, so this only brackets the exact search.
+    fn rank_start_estimate(&self, k: u64) -> f64 {
+        match k {
+            1 => 1.0 / self.zetan,
+            2 => (1.0 + 0.5f64.powf(self.theta)) / self.zetan,
+            _ => {
+                ((k as f64 / self.items as f64).powf(1.0 - self.theta) - 1.0 + self.eta) / self.eta
+            }
         }
     }
 
@@ -122,37 +163,42 @@ impl Zipfian {
     }
 }
 
-/// [`Zipfian::zeta`] memoized process-wide by `(n, θ bits)`.
+/// What the process-wide memo keeps for one `(n, θ)`.
+struct ZetaEntry {
+    /// ζ(n, θ), the direct sum.
+    zetan: f64,
+    /// The scrambled chooser's inverse table over n keys, once one
+    /// was asked for.
+    inverse: Option<Arc<InverseTable>>,
+}
+
+/// Runs `f` on the memo entry of `(n, θ bits)`, summing
+/// [`Zipfian::zeta`] on first use.
 ///
 /// Every YCSB generator over the same key count shares one O(n)
-/// summation instead of re-summing it per run. The memo holds the
-/// direct sum itself, so a memoized chooser is bit-identical to one
-/// built from a fresh sum. Entries are 24 bytes and the key counts a
-/// study uses are few, so the map is never pruned.
-fn zeta_memoized(n: u64, theta: f64) -> f64 {
-    static MEMO: OnceLock<Mutex<HashMap<(u64, u64), f64>>> = OnceLock::new();
+/// summation, and every scrambled one over at most
+/// [`INVERSE_TABLE_MAX_ITEMS`] keys one inverse table, instead of
+/// rebuilding them per run. The memo holds the direct sum itself, so a
+/// memoized chooser is bit-identical to one built from a fresh sum.
+/// The key counts a study uses are few, so the map is never pruned.
+fn with_zeta_entry<T>(n: u64, theta: f64, f: impl FnOnce(&mut ZetaEntry) -> T) -> T {
+    static MEMO: OnceLock<Mutex<HashMap<(u64, u64), ZetaEntry>>> = OnceLock::new();
     // Every update is one complete insert, so even a poisoned map is valid.
     let mut memo = MEMO
         .get_or_init(Default::default)
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
-    *memo
+    f(memo
         .entry((n, theta.to_bits()))
-        .or_insert_with(|| Zipfian::zeta(n, theta))
+        .or_insert_with(|| ZetaEntry {
+            zetan: Zipfian::zeta(n, theta),
+            inverse: None,
+        }))
 }
 
 impl KeyChooser for Zipfian {
     fn next_key<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
-        let u: f64 = rng.gen();
-        let uz = u * self.zetan;
-        if uz < 1.0 {
-            return 0;
-        }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
-            return 1;
-        }
-        let k = (self.items as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
-        k.min(self.items - 1)
+        self.rank_of(rng.gen())
     }
 
     fn item_count(&self) -> u64 {
@@ -240,29 +286,159 @@ fn fnv_hash64(mut val: u64) -> u64 {
     hash
 }
 
+/// Largest key space a [`ScrambledZipfian`] draws from an inverse
+/// table; every rank below it fits the table's `u16` guide. Larger key
+/// spaces draw from the closed form.
+pub const INVERSE_TABLE_MAX_ITEMS: u64 = 1 << 16;
+
+/// Bits of a draw: `gen::<f64>()` is `(next_u64() >> 11) · 2^-53`.
+const DRAW_BITS: u32 = 53;
+
+/// Distinct draws, 2^53.
+const DRAWS: u64 = 1 << DRAW_BITS;
+
+/// The value of one draw step, 2^-53.
+const DRAW_UNIT: f64 = 1.0 / DRAWS as f64;
+
+/// The guide's buckets are indexed by a draw's top 16 bits.
+const GUIDE_BITS: u32 = 16;
+
+/// Draw steps either side of a rank's estimated start that bracket its
+/// exact search.
+const BRACKET: u64 = 16;
+
+/// The exact inverse of a [`ScrambledZipfian`] draw over at most
+/// [`INVERSE_TABLE_MAX_ITEMS`] keys.
+///
+/// The closed form's rank is a non-decreasing step function of the
+/// 53-bit draw `m`, so it is fixed by where each step starts. Every
+/// rounding step of [`Zipfian::rank_of`] is monotone in `m`; the one
+/// that might not be, `powf`, sees inputs about `1/(1−θ)` = 100 ULPs
+/// apart for adjacent draws, far more than its sub-ULP error.
+#[derive(Debug)]
+struct InverseTable {
+    /// `first[k]`: the smallest draw whose rank is at least `k`.
+    /// `first[0]` is 0 and `first[n]` is [`DRAWS`], which no draw reaches.
+    first: Box<[u64]>,
+    /// Each rank's scrambled key.
+    keys: Box<[u32]>,
+    /// `guide[b]`: the rank of the smallest draw in bucket `b`.
+    guide: Box<[u16; 1 << GUIDE_BITS]>,
+}
+
+impl InverseTable {
+    /// Tabulates `zipf`'s closed form: each rank's start by bisection,
+    /// bracketed by [`Zipfian::rank_start_estimate`], or over every
+    /// draw above the previous start when the bracket misses.
+    fn build(zipf: &Zipfian) -> Self {
+        let n = zipf.items;
+        assert!(n <= INVERSE_TABLE_MAX_ITEMS, "{n} keys need no table");
+        let rank = |m: u64| zipf.rank_of(m as f64 * DRAW_UNIT);
+        // The smallest draw in `(lo, hi]` of rank at least `k`, given
+        // rank(lo) < k and that `hi` is `DRAWS` or reaches `k`.
+        let bisect = |k: u64, mut lo: u64, mut hi: u64| {
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if rank(mid) >= k {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+            hi
+        };
+        let mut first = Vec::with_capacity(n as usize + 1);
+        let mut start = 0;
+        first.push(start);
+        for k in 1..n {
+            let estimate = (zipf.rank_start_estimate(k) * DRAWS as f64) as u64;
+            let lo = estimate.saturating_sub(BRACKET).max(start);
+            let hi = estimate.saturating_add(BRACKET).min(DRAWS - 1);
+            start = if lo < hi && rank(lo) < k && rank(hi) >= k {
+                bisect(k, lo, hi)
+            } else if rank(start) >= k {
+                start
+            } else {
+                bisect(k, start, DRAWS)
+            };
+            first.push(start);
+        }
+        first.push(DRAWS);
+
+        let mut guide = vec![0u16; 1 << GUIDE_BITS];
+        let mut k = 0;
+        for (bucket, g) in (0u64..).zip(guide.iter_mut()) {
+            while first[k + 1] <= bucket << (DRAW_BITS - GUIDE_BITS) {
+                k += 1;
+            }
+            *g = k as u16;
+        }
+        Self {
+            first: first.into(),
+            keys: (0..n)
+                .map(|rank| ScrambledZipfian::scramble(rank, n) as u32)
+                .collect(),
+            guide: guide
+                .into_boxed_slice()
+                .try_into()
+                .expect("one entry a bucket"),
+        }
+    }
+
+    /// The key of draw `m` in `[0, 2^53)`: its rank's start is the last
+    /// one at or below `m`, found by scanning up from its bucket's.
+    fn key(&self, m: u64) -> u64 {
+        let mut k = usize::from(self.guide[(m >> (DRAW_BITS - GUIDE_BITS)) as u16 as usize]);
+        while self.first[k + 1] <= m {
+            k += 1;
+        }
+        u64::from(self.keys[k])
+    }
+}
+
 /// Zipfian with popularity scattered across the key space.
 ///
 /// YCSB scrambles the Zipfian rank so the hot keys are not clustered at
 /// low key ids; this matters for page-level locality, because it spreads
 /// hot keys over many pages the way a real KeyDB dataset would.
+///
+/// Over at most [`INVERSE_TABLE_MAX_ITEMS`] keys a draw reads the key
+/// from an exact inverse table shared through the ζ memo; it consumes
+/// the same one random word and returns the same key as the closed
+/// form.
 #[derive(Debug, Clone)]
 pub struct ScrambledZipfian {
     inner: Zipfian,
+    inverse: Option<Arc<InverseTable>>,
 }
 
 impl ScrambledZipfian {
     /// Creates a scrambled Zipfian chooser over `items` keys.
     pub fn new(items: u64) -> Self {
-        Self {
-            inner: Zipfian::new(items),
-        }
+        let inner = Zipfian::new(items);
+        let inverse = (items <= INVERSE_TABLE_MAX_ITEMS).then(|| {
+            with_zeta_entry(items, inner.theta, |entry| {
+                entry
+                    .inverse
+                    .get_or_insert_with(|| Arc::new(InverseTable::build(&inner)))
+                    .clone()
+            })
+        });
+        Self { inner, inverse }
+    }
+
+    /// The key YCSB maps a rank to over `items` keys.
+    fn scramble(rank: u64, items: u64) -> u64 {
+        fnv_hash64(rank) % items
     }
 }
 
 impl KeyChooser for ScrambledZipfian {
     fn next_key<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
-        let rank = self.inner.next_key(rng);
-        fnv_hash64(rank) % self.inner.items
+        match &self.inverse {
+            Some(table) => table.key(rng.next_u64() >> (64 - DRAW_BITS)),
+            None => Self::scramble(self.inner.next_key(rng), self.inner.items),
+        }
     }
 
     fn item_count(&self) -> u64 {
@@ -440,6 +616,101 @@ mod tests {
         }
         assert_ne!(latest.zipf.zetan.to_bits(), direct(a).zetan.to_bits());
         assert_bit_identical(&Latest::new(a).zipf, &direct(a));
+    }
+
+    #[test]
+    fn a_draw_word_is_the_f64_draw() {
+        // The table reads `next_u64() >> 11` where the closed form reads
+        // `gen::<f64>()`: the same word, the same value, one word each.
+        let (mut a, mut b) = (rng(), rng());
+        for _ in 0..100_000 {
+            let m = a.next_u64() >> (64 - DRAW_BITS);
+            assert_eq!((m as f64 * DRAW_UNIT).to_bits(), b.gen::<f64>().to_bits());
+        }
+        assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    /// Checks the table over `n` keys against the closed form at every
+    /// rank's start and the draws beside it, at both ends of every guide
+    /// bucket, and over `draws` seeded draws through `next_key`.
+    fn assert_table_is_the_closed_form(n: u64, draws: u64) {
+        let mut tabled = ScrambledZipfian::new(n);
+        let mut plain = ScrambledZipfian {
+            inner: Zipfian::new(n),
+            inverse: None,
+        };
+        let table = tabled
+            .inverse
+            .clone()
+            .expect("a table at most at the limit");
+        let closed_key = |m: u64| {
+            let rank = plain.inner.rank_of(m as f64 * DRAW_UNIT);
+            ScrambledZipfian::scramble(rank, n)
+        };
+        let check = |m: u64| {
+            if m < DRAWS {
+                assert_eq!(table.key(m), closed_key(m), "{n} keys, draw {m}");
+            }
+        };
+        assert_eq!(table.first.len() as u64, n + 1);
+        assert_eq!((table.first[0], table.first[n as usize]), (0, DRAWS));
+        for &start in &table.first[1..n as usize] {
+            check(start.wrapping_sub(1));
+            check(start);
+            check(start + 1);
+        }
+        let width = 1 << (DRAW_BITS - GUIDE_BITS);
+        for bucket in 0..1 << GUIDE_BITS {
+            check(bucket * width);
+            check(bucket * width + width - 1);
+        }
+        let (mut a, mut b) = (SmallRng::seed_from_u64(n), SmallRng::seed_from_u64(n));
+        for i in 0..draws {
+            assert_eq!(
+                tabled.next_key(&mut a),
+                plain.next_key(&mut b),
+                "{n} keys, draw #{i}"
+            );
+        }
+        assert_eq!(a.next_u64(), b.next_u64(), "{n} keys: one word a draw");
+    }
+
+    #[test]
+    fn inverse_table_is_the_closed_form_on_small_key_spaces() {
+        for n in [1, 2, 3, 1_000, 12_345] {
+            assert_table_is_the_closed_form(n, 1_000_000);
+        }
+    }
+
+    #[test]
+    fn inverse_table_is_the_closed_form_up_to_the_limit() {
+        for n in [40_000, INVERSE_TABLE_MAX_ITEMS] {
+            assert_table_is_the_closed_form(n, 1_000_000);
+        }
+    }
+
+    #[test]
+    #[ignore = "10^8 draws a key space; run with --release --ignored"]
+    fn inverse_table_is_the_closed_form_over_1e8_draws() {
+        for n in [40_000, INVERSE_TABLE_MAX_ITEMS] {
+            assert_table_is_the_closed_form(n, 100_000_000);
+        }
+    }
+
+    #[test]
+    fn tables_stop_at_the_limit_and_are_shared() {
+        assert!(ScrambledZipfian::new(INVERSE_TABLE_MAX_ITEMS + 1)
+            .inverse
+            .is_none());
+        let (a, b) = (ScrambledZipfian::new(777), ScrambledZipfian::new(777));
+        assert!(Arc::ptr_eq(
+            a.inverse.as_ref().unwrap(),
+            b.inverse.as_ref().unwrap()
+        ));
+        // Every rank is drawn by some draw at this size: no start is
+        // skipped or out of reach.
+        let table = a.inverse.unwrap();
+        assert!(table.first.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

@@ -293,9 +293,10 @@ const WIDE_KEY: u32 = (1 << KEY_BITS) - 1;
 /// A recorded YCSB op stream, replayable into any number of stores.
 ///
 /// Fig. 5 runs the same stream against all seven Table 1
-/// configurations. Each op drawn costs a Zipfian sample (two `powf`
-/// calls), so the study records each stream once and replays it into
-/// every configuration's store instead of drawing it seven times.
+/// configurations. Each op drawn over its 200,000 keys costs a
+/// closed-form Zipfian sample (two `powf` calls), so the study records
+/// each stream once and replays it into every configuration's store
+/// instead of drawing it seven times.
 ///
 /// Ops are packed into `u32` words: the op's kind in the top three
 /// bits and its key in the low 29. A scan's length takes a second
