@@ -224,7 +224,6 @@ fn tier_config(policy: BalancerPolicy, dram: NodeId, cxl: NodeId) -> TierConfig 
             cfg.migration = MigrationMode::BandwidthAware(BandwidthAwareConfig {
                 base: hot_cfg(),
                 high_watermark: 0.72,
-                low_watermark: 0.55,
                 demote_batch: 256,
             });
         }

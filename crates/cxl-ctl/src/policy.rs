@@ -113,9 +113,9 @@ impl ControllerConfig {
 
 /// Guardrail state and counters.
 ///
-/// All counters are also mirrored into `cxl-obs` (`ctl/...`) so the
-/// exported metrics JSON carries them; `violations` must stay 0 — CI
-/// fails the run otherwise.
+/// The [`Controller`] hands these counters to `cxl-obs` (`ctl/...`)
+/// when it drops, so the exported metrics JSON carries them;
+/// `violations` must stay 0 — CI fails the run otherwise.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct Guardrails {
     /// Probe actuations applied.
@@ -159,13 +159,11 @@ impl Guardrails {
         match plant.apply(knob, setting) {
             Ok(()) => {
                 self.actions_applied += 1;
-                cxl_obs::counter_add("ctl/actions_applied", 1);
                 if is_probe {
                     self.last_probe_tick = Some(tick);
                 }
                 if let Err(breach) = plant.check_invariants() {
                     self.violations += 1;
-                    cxl_obs::counter_add("ctl/guardrail_violations", 1);
                     // The breach text is diagnostic; the counter is the
                     // contract (CI fails on nonzero).
                     let _ = breach;
@@ -174,7 +172,6 @@ impl Guardrails {
             }
             Err(_) => {
                 self.actions_rejected += 1;
-                cxl_obs::counter_add("ctl/actions_rejected", 1);
                 ApplyOutcome::Rejected
             }
         }
@@ -308,6 +305,8 @@ pub struct Controller {
     rollbacks: u64,
     emergency_rollbacks: u64,
     shifts: u64,
+    probe_extensions: u64,
+    disturbances: u64,
 }
 
 /// `[down, up]` index for a probe direction.
@@ -370,6 +369,8 @@ impl Controller {
             rollbacks: 0,
             emergency_rollbacks: 0,
             shifts: 0,
+            probe_extensions: 0,
+            disturbances: 0,
         })
     }
 
@@ -382,7 +383,7 @@ impl Controller {
             self.window.pop_front();
         }
         self.window.push_back(objective);
-        let outcome = match std::mem::replace(&mut self.mode, Mode::Steady) {
+        match std::mem::replace(&mut self.mode, Mode::Steady) {
             Mode::Warmup { remaining } => {
                 if remaining > 1 {
                     self.mode = Mode::Warmup {
@@ -393,11 +394,7 @@ impl Controller {
             }
             Mode::Steady => self.steady_tick(plant),
             Mode::Probing(probe) => self.probing_tick(probe, objective, plant),
-        };
-        if cxl_obs::active() {
-            cxl_obs::counter_add("ctl/ticks", 1);
         }
-        outcome
     }
 
     /// Steady-state change detection: while holding (not probing — the
@@ -426,7 +423,6 @@ impl Controller {
             self.rebaseline = self.cfg.measure_ticks;
             self.shift_quiet = self.cfg.measure_ticks;
             self.shifts += 1;
-            cxl_obs::counter_add("ctl/shifts", 1);
         }
     }
 
@@ -454,7 +450,6 @@ impl Controller {
             .may_probe(self.tick_index, self.cfg.min_action_gap_ticks)
         {
             self.guardrails.actions_blocked += 1;
-            cxl_obs::counter_add("ctl/actions_blocked", 1);
             return TickOutcome::Blocked;
         }
         let Some((knob, probe_setting)) = self.pick_probe() else {
@@ -468,7 +463,6 @@ impl Controller {
         {
             ApplyOutcome::Applied => {
                 self.probes += 1;
-                cxl_obs::counter_add("ctl/probes", 1);
                 // Advance the cursor so the *next* probe starts from the
                 // following knob even if this one commits.
                 self.next_knob = (knob + 1) % self.knobs.len();
@@ -545,7 +539,6 @@ impl Controller {
             probe.crash_strikes += 1;
             if probe.crash_strikes >= 2 {
                 self.emergency_rollbacks += 1;
-                cxl_obs::counter_add("ctl/emergency_rollbacks", 1);
                 return self.finish_rollback(probe, plant, true);
             }
         } else {
@@ -587,7 +580,6 @@ impl Controller {
                 self.tick_index + u64::from(self.knobs[knob].cooldown_ticks);
             self.rebaseline = self.cfg.measure_ticks;
             self.commits += 1;
-            cxl_obs::counter_add("ctl/commits", 1);
             TickOutcome::Committed {
                 knob,
                 from: prev_setting,
@@ -616,11 +608,10 @@ impl Controller {
             probe.measured.clear();
             let knob = probe.knob;
             self.mode = Mode::Probing(probe);
-            cxl_obs::counter_add("ctl/probe_extensions", 1);
+            self.probe_extensions += 1;
             TickOutcome::ProbeExtended { knob }
         } else {
             self.rollbacks += 1;
-            cxl_obs::counter_add("ctl/rollbacks", 1);
             self.finish_rollback(probe, plant, false)
         }
     }
@@ -652,7 +643,6 @@ impl Controller {
             }
             ApplyOutcome::Rejected => {
                 self.guardrails.violations += 1;
-                cxl_obs::counter_add("ctl/guardrail_violations", 1);
                 self.current[knob] = probe_setting;
             }
         }
@@ -707,7 +697,7 @@ impl Controller {
         self.rebaseline = 0;
         self.shift_quiet = 0;
         self.window.clear();
-        cxl_obs::counter_add("ctl/disturbances", 1);
+        self.disturbances += 1;
     }
 
     /// Current setting index per knob.
@@ -780,6 +770,36 @@ impl Controller {
     #[cfg(test)]
     pub(crate) fn is_probing(&self) -> bool {
         matches!(self.mode, Mode::Probing(_))
+    }
+}
+
+impl Drop for Controller {
+    /// Hands the controller's counters to the current `cxl-obs`
+    /// registry, each nonzero one under `ctl/<name>`: the keys and
+    /// values one call per tick or actuation would have left.
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            return;
+        }
+        let g = &self.guardrails;
+        for (name, n) in [
+            ("ctl/ticks", self.tick_index),
+            ("ctl/probes", self.probes),
+            ("ctl/commits", self.commits),
+            ("ctl/rollbacks", self.rollbacks),
+            ("ctl/emergency_rollbacks", self.emergency_rollbacks),
+            ("ctl/probe_extensions", self.probe_extensions),
+            ("ctl/shifts", self.shifts),
+            ("ctl/disturbances", self.disturbances),
+            ("ctl/actions_applied", g.actions_applied),
+            ("ctl/actions_blocked", g.actions_blocked),
+            ("ctl/actions_rejected", g.actions_rejected),
+            ("ctl/guardrail_violations", g.violations),
+        ] {
+            if n > 0 {
+                cxl_obs::counter_add(name, n);
+            }
+        }
     }
 }
 

@@ -480,7 +480,6 @@ impl HeapWorkload {
         }
         if far {
             self.trace_far += 1;
-            cxl_obs::counter_add("heap/trace_far_objects", 1);
         }
         self.trace_touches += touches;
         ns
@@ -507,7 +506,6 @@ impl HeapWorkload {
             .expect("evacuation succeeds (survivors or SSD must have room)");
         self.ops_since_epoch = 0;
         self.evacuation = Some(report);
-        cxl_obs::counter_add("heap/fault_evacuated_pages", report.total_pages());
     }
 
     fn snapshot_phase_start(&mut self) {
@@ -553,8 +551,6 @@ impl HeapWorkload {
         if was_trace {
             self.trace_promotions += promos;
             self.trace_demotions += demos;
-            cxl_obs::counter_add("heap/trace_promotions", promos);
-            cxl_obs::counter_add("heap/trace_demotions", demos);
         } else {
             self.mutator_promotions += promos;
         }
@@ -578,12 +574,8 @@ impl HeapWorkload {
                     if post_gc {
                         self.mutator_post_hist.record(v);
                     }
-                    if cxl_obs::active() {
-                        cxl_obs::record("heap/mutator_op_ns", v);
-                    }
                     self.ops_since_epoch += 1;
                 }
-                cxl_obs::counter_add("heap/mutator_ops", batch);
                 remaining -= batch;
                 self.maybe_refresh();
                 if remaining > 0 {
@@ -607,9 +599,6 @@ impl HeapWorkload {
                     self.now += SimTime::from_ns_f64(ns);
                     let v = ns as u64;
                     self.trace_hist.record(v);
-                    if cxl_obs::active() {
-                        cxl_obs::record("heap/trace_obj_ns", v);
-                    }
                     self.objects_traced += 1;
                     self.ops_since_epoch += 1;
                     visited_this_chunk += 1;
@@ -623,7 +612,6 @@ impl HeapWorkload {
                         }
                     }
                 }
-                cxl_obs::counter_add("heap/objects_traced", visited_this_chunk as u64);
                 self.maybe_refresh();
                 if ts.queue.is_empty() {
                     self.trace_duration += self.now.saturating_sub(ts.started_at);
@@ -634,13 +622,35 @@ impl HeapWorkload {
                         remaining: self.params.mutator_ops_per_cycle,
                         post_gc: true,
                     };
-                    cxl_obs::counter_add("heap/gc_cycles", 1);
                 } else {
                     self.phase = Phase::Trace(ts);
                 }
                 true
             }
             Phase::Done => false,
+        }
+    }
+
+    /// Hands the run's totals to the current `cxl-obs` registry, with
+    /// the keys one call per chunk or event would have left: the mutator
+    /// counters always (every run starts with a mutator chunk), the
+    /// trace counters once a GC cycle has completed, and the far-object
+    /// and fault counts when there were any.
+    fn record_totals(&self) {
+        cxl_obs::counter_add("heap/mutator_ops", self.mutator_hist.count());
+        cxl_obs::merge("heap/mutator_op_ns", &self.mutator_hist);
+        cxl_obs::merge("heap/trace_obj_ns", &self.trace_hist);
+        if self.cycle > 0 {
+            cxl_obs::counter_add("heap/gc_cycles", u64::from(self.cycle));
+            cxl_obs::counter_add("heap/objects_traced", self.objects_traced);
+            cxl_obs::counter_add("heap/trace_promotions", self.trace_promotions);
+            cxl_obs::counter_add("heap/trace_demotions", self.trace_demotions);
+        }
+        if self.trace_far > 0 {
+            cxl_obs::counter_add("heap/trace_far_objects", self.trace_far);
+        }
+        if let Some(r) = self.evacuation {
+            cxl_obs::counter_add("heap/fault_evacuated_pages", r.total_pages());
         }
     }
 
@@ -669,6 +679,7 @@ impl HeapWorkload {
                 .count() as u64,
         };
         cxl_obs::counter_max("heap/stranded_pages", stranded);
+        w.record_totals();
 
         HeapReport {
             mutator: w.mutator_hist,

@@ -366,12 +366,6 @@ impl KvStore {
             .set_promote_rate(self.now, bytes_per_sec)
     }
 
-    /// Retunes the bandwidth-aware demote batch (see
-    /// [`TierManager::set_demote_batch`]).
-    pub fn set_demote_batch(&mut self, batch: usize) -> Result<(), TierError> {
-        self.mem.tier_mut().set_demote_batch(batch)
-    }
-
     /// Opens the store's next op stream for the entry point `label`.
     fn next_stream(&mut self, label: &str) -> GeneratorConfig {
         let cfg = self.cfg.stream_config(label, self.runs);
@@ -776,7 +770,6 @@ impl KvStore {
             arrivals.completed(i, completion.finish);
             let sojourn = completion.sojourn(arrival).as_ns();
             latency.record(sojourn);
-            cxl_obs::record("kv/op_sojourn_ns", sojourn);
             if !op.is_write() {
                 read_latency.record(sojourn);
             }
@@ -791,6 +784,7 @@ impl KvStore {
 
         self.now = servers.makespan().max(self.now);
         self.mem.reprice(self.now);
+        cxl_obs::merge("kv/op_sojourn_ns", &latency);
         let duration = self.now.saturating_sub(start);
         let throughput = if duration > SimTime::ZERO {
             ops as f64 / duration.as_secs_f64()

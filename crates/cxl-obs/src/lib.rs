@@ -34,7 +34,8 @@
 //! # Dispatch and the zero-cost no-op mode
 //!
 //! Instrumented crates call the free functions ([`counter_add`],
-//! [`record`], [`span`], …). Each call resolves its target registry:
+//! [`record`], [`merge`], [`span`], …). Each call resolves its target
+//! registry:
 //!
 //! 1. a thread-scoped registry installed with [`scope`], if any —
 //!    always recording (tests use this for isolation; the experiment
@@ -45,6 +46,21 @@
 //! default), every recording call is a thread-local read plus one
 //! relaxed atomic load — the hot layers stay instrumented at ~zero
 //! cost until a `--metrics` run or a test turns collection on.
+//!
+//! # Owners hand over totals once
+//!
+//! A count a layer already keeps in its own state is not recorded per
+//! event. The owner hands its totals to the registry current on its
+//! thread once, when it finishes: the tier manager (`TierStats`) and
+//! the control-plane controller when they drop, the serving and heap
+//! runs when they build their reports, and a KV run by [`merge`]-ing
+//! its latency histogram. A hand-off checks [`active`] at most once,
+//! does nothing while the thread is panicking, and adds exactly the
+//! keys and values the per-event calls would have, so exports do not
+//! depend on which way a count arrived. Per-event calls remain for
+//! metrics no layer keeps: per-access KV latencies, engine events,
+//! tier occupancy samples, pool and fault events, and the runner's
+//! cells.
 //!
 //! # Examples
 //!
@@ -181,6 +197,13 @@ pub fn record(name: &str, value: u64) {
 /// Records one sample into a scheduling-dependent histogram.
 pub fn wall_record(name: &str, value: u64) {
     dispatch(|r| r.record(Class::Wall, name, value));
+}
+
+/// Adds every sample of `h` to a deterministic histogram, as one
+/// [`record`] per sample would: how an owner that keeps its own
+/// histogram hands it over. An empty `h` registers nothing.
+pub fn merge(name: &str, h: &cxl_stats::Histogram) {
+    dispatch(|r| r.merge(Class::Sim, name, h));
 }
 
 /// Starts a wall-clock span; its elapsed nanoseconds are recorded into

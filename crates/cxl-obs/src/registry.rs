@@ -77,10 +77,15 @@ impl Registry {
         init: impl FnOnce() -> MetricValue,
     ) {
         let mut m = self.metrics.lock().expect("metrics registry poisoned");
-        let entry = m.entry(name.to_string()).or_insert_with(|| Metric {
-            class,
-            value: init(),
-        });
+        // Look up before inserting: only a metric's first write
+        // allocates its name.
+        let entry = match m.get_mut(name) {
+            Some(entry) => entry,
+            None => m.entry(name.to_string()).or_insert(Metric {
+                class,
+                value: init(),
+            }),
+        };
         debug_assert!(
             entry.class == class,
             "metric {name:?} re-registered with a different determinism class"
@@ -150,6 +155,32 @@ impl Registry {
             name,
             |val| match val {
                 MetricValue::Histogram(h) => h.record(value),
+                other => panic!(
+                    "metric {name:?} is a {}, not a histogram",
+                    other.type_name()
+                ),
+            },
+            || MetricValue::Histogram(Histogram::new()),
+        );
+    }
+
+    /// Adds every sample of `h` to the histogram `name`: the same state
+    /// one [`Registry::record`] per sample would leave, since histogram
+    /// sums are exact. An empty `h` changes nothing and registers no
+    /// metric.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` already holds a non-histogram metric.
+    pub fn merge(&self, class: Class, name: &str, h: &Histogram) {
+        if h.count() == 0 {
+            return;
+        }
+        self.update(
+            class,
+            name,
+            |val| match val {
+                MetricValue::Histogram(mine) => mine.merge(h),
                 other => panic!(
                     "metric {name:?} is a {}, not a histogram",
                     other.type_name()
@@ -348,6 +379,31 @@ mod tests {
         assert_eq!(h.count(), 3);
         assert_eq!(h.min(), 100);
         assert_eq!(h.max(), 300);
+    }
+
+    #[test]
+    fn merge_equals_recording_each_sample() {
+        let samples = [0, 7, 97, 250, 485, 1_000_000, u64::MAX];
+        let one_by_one = Registry::new();
+        let mut h = Histogram::new();
+        for v in samples {
+            one_by_one.record(Class::Sim, "h", v);
+            h.record(v);
+        }
+        let merged = Registry::new();
+        merged.merge(Class::Sim, "h", &Histogram::new());
+        assert!(merged.is_empty(), "an empty merge registers nothing");
+        merged.merge(Class::Sim, "h", &h);
+        assert_eq!(merged.histogram("h"), one_by_one.histogram("h"));
+        assert_eq!(merged.export_json(), one_by_one.export_json());
+        // Into an existing histogram, too.
+        one_by_one.record(Class::Sim, "h", 3);
+        merged.merge(Class::Sim, "h", &{
+            let mut more = Histogram::new();
+            more.record(3);
+            more
+        });
+        assert_eq!(merged.histogram("h"), one_by_one.histogram("h"));
     }
 
     #[test]

@@ -124,14 +124,13 @@ pub struct TenantConfig {
 /// Autoscaler configuration (present = adaptive leasing, absent =
 /// static provisioning).
 ///
-/// The autoscaler is built from `cxl-ctl` parts: a [`cxl_ctl::KnobSpec`]
-/// lease ladder per tenant and the transactional [`cxl_ctl::Plant`]
-/// contract (with `check_invariants` guardrails) for actuation. Its
-/// signal is one [`cxl_stats::Ewma`] of backlog per tenant. Unlike the
-/// autotune study's hill climber — which probes an *unknown* objective —
-/// the serving layer tracks a *known* signal (backlog per worker), so
-/// the policy here is deterministic threshold tracking with hysteresis
-/// and per-knob cooldown.
+/// The autoscaler walks a lease ladder per tenant, resizing each lease
+/// through the transactional [`crate::lease::resize`] and auditing every
+/// tenant after each change. Its signal is one [`cxl_stats::Ewma`] of
+/// backlog per tenant. Unlike the autotune study's hill climber — which
+/// probes an *unknown* objective — the serving layer tracks a *known*
+/// signal (backlog per worker), so the policy here is deterministic
+/// threshold tracking with hysteresis and a per-tenant cooldown.
 #[derive(Debug, Clone, Serialize)]
 pub struct AutoscaleConfig {
     /// Control-loop tick period.
@@ -150,7 +149,7 @@ pub struct AutoscaleConfig {
     /// rung-by-rung cooldowns through it bleeds p99 for seconds while
     /// the signal is already unambiguous. Must be > the grow threshold.
     pub panic_backlog_per_worker: f64,
-    /// Ticks a tenant's lease knob stays on cooldown after a change.
+    /// Ticks a tenant's lease stays on cooldown after a change.
     pub cooldown_ticks: u32,
     /// EWMA smoothing factor for the backlog signal.
     pub ewma_alpha: f64,

@@ -13,16 +13,17 @@
 //!   so runs are bit-identical at any `--jobs`;
 //! * each tenant owns a bounded FIFO with two admission gates — a
 //!   queue-depth cutoff (`Rejected`) and a [`cxl_sim::TokenBucket`]
-//!   budget (`Shed`), both counted per tenant through `cxl-obs`;
+//!   budget (`Shed`), both counted per tenant and handed to `cxl-obs`
+//!   when the run ends;
 //! * requests are priced on the real backends:
 //!   [`cxl_kv::KvStore::service_request`] for KeyDB tenants and
 //!   [`cxl_llm::server::request_timing`] at live concurrency for LLM
 //!   tenants;
-//! * an autoscaler built from `cxl-ctl` parts (the world is the
-//!   [`cxl_ctl::Plant`]; one lease knob per tenant) leases `cxl-pool`
-//!   slabs as tenants ramp and releases them on the diurnal trough,
-//!   with a slab-second cost ledger priced by `cxl-cost`'s relative
-//!   CXL rate ([`config::CostConfig`]).
+//! * an autoscaler walks one lease ladder per tenant, leasing
+//!   `cxl-pool` slabs as tenants ramp and releasing them on the diurnal
+//!   trough through the transactional [`lease::resize`], with a
+//!   slab-second cost ledger priced by `cxl-cost`'s relative CXL rate
+//!   ([`config::CostConfig`]).
 //!
 //! The headline scenario (`cxl_core::experiments::serve`) runs a
 //! diurnal tenant mix through day/night phases with a mid-run expander

@@ -12,21 +12,23 @@
 //! tenants, [`cxl_llm::server::request_timing`] at the live concurrency
 //! for LLM tenants.
 //!
-//! Capacity elasticity goes through the `cxl-ctl` [`Plant`] contract:
-//! the world itself is the plant, one lease knob per tenant, and every
+//! Capacity elasticity walks each tenant's lease ladder, and every
 //! actuation is a [`lease::resize`] transaction against the shared
 //! [`PoolManager`] — a grow the pool cannot meet in full is refused
 //! before it queues or revokes anything, shrink goes through the
 //! store's rate-limited evacuation path, and `check_invariants` runs
 //! [`lease::audit`] on every tenant after every change (violations are
 //! counted and gated at zero in CI).
+//!
+//! Each tenant counts its own requests; the run hands those totals to
+//! `cxl-obs` once, when it builds its report.
 
 use std::collections::VecDeque;
 
 use rand::Rng;
 use serde::Serialize;
 
-use cxl_ctl::{CtlError, KnobSpec, Plant};
+use cxl_ctl::CtlError;
 use cxl_llm::server::{request_timing, token_time, Request, ServerConfig};
 use cxl_llm::{LlmCluster, LlmConfig, LlmPlacement};
 use cxl_pool::{HostId, PoolManager};
@@ -145,11 +147,8 @@ pub struct ServeWorld {
     tenants: Vec<TenantRt>,
     pool: PoolManager,
     /// Lease ladder in slabs (autoscale config, or a one-rung static
-    /// ladder) — [`Plant::apply`] settings index into it.
+    /// ladder); a tenant's rung indexes into it.
     ladder: Vec<u64>,
-    /// Knob specs, one per tenant; kept so the control surface is the
-    /// same [`KnobSpec`] shape the rest of the control plane speaks.
-    knobs: Vec<KnobSpec>,
     /// Virtual time of the event being handled (plumbed to the pool).
     clock: SimTime,
     fault_fired: bool,
@@ -169,17 +168,6 @@ impl ServeWorld {
             Some(a) => a.ladder.clone(),
             None => vec![cfg.static_lease_slabs],
         };
-        let knobs = cfg
-            .tenants
-            .iter()
-            .map(|t| {
-                KnobSpec::new(
-                    format!("lease.{}", t.name),
-                    ladder.iter().map(|&s| (format!("{s}slabs"), s as f64)),
-                    cfg.autoscale.as_ref().map_or(0, |a| a.cooldown_ticks),
-                )
-            })
-            .collect();
         let tenants = cfg
             .tenants
             .iter()
@@ -245,7 +233,6 @@ impl ServeWorld {
             tenants,
             pool: PoolManager::new(cfg.pool_slabs, hosts, 0.25),
             ladder,
-            knobs,
             clock: SimTime::ZERO,
             fault_fired: false,
             lease_grows: 0,
@@ -295,15 +282,6 @@ impl ServeWorld {
         } else {
             self.lease_shrinks += 1;
         }
-        // Peak (a running max), not the instantaneous level: cells of a
-        // study share this registry, so only commutative aggregates stay
-        // identical under any worker schedule.
-        if cxl_obs::active() {
-            cxl_obs::counter_max(
-                &format!("serve/{}/peak_lease_slabs", self.tenants[ti].cfg.name),
-                target,
-            );
-        }
         Ok(())
     }
 
@@ -333,21 +311,6 @@ impl ServeWorld {
             }
         }
         self.fault_fired = true;
-        cxl_obs::counter_add("serve/faults_injected", 1);
-    }
-}
-
-impl Plant for ServeWorld {
-    /// Knob `i` is tenant `i`'s lease; `setting` indexes the ladder.
-    fn apply(&mut self, knob: usize, setting: usize) -> Result<(), CtlError> {
-        if knob >= self.tenants.len() {
-            return Err(CtlError::UnknownKnob(knob));
-        }
-        assert!(
-            setting < self.knobs[knob].len(),
-            "setting {setting} out of range for knob {knob}"
-        );
-        self.set_lease(knob, self.ladder[setting])
     }
 
     /// Audits the lease/grant/capacity triangle for every tenant.
@@ -361,6 +324,40 @@ impl Plant for ServeWorld {
                 .map_err(|e| format!("tenant {}: {e}", t.cfg.name))?;
         }
         Ok(())
+    }
+
+    /// Hands the run's totals to the current `cxl-obs` registry: each
+    /// nonzero count under its name, overall and per tenant, as one
+    /// call per request or actuation would have left it. A tenant's
+    /// lease peak is a running max, not its final level: cells of a
+    /// study share the registry, so only commutative aggregates stay
+    /// identical under any worker schedule.
+    fn record_totals(&self) {
+        if !cxl_obs::active() {
+            return;
+        }
+        let add = |name: &str, n: u64| {
+            if n > 0 {
+                cxl_obs::counter_add(name, n);
+            }
+        };
+        for t in &self.tenants {
+            let name = &t.cfg.name;
+            add("serve/served", t.served);
+            add("serve/shed", t.shed);
+            add("serve/rejected", t.rejected);
+            add(&format!("serve/{name}/served"), t.served);
+            add(&format!("serve/{name}/shed"), t.shed);
+            add(&format!("serve/{name}/rejected"), t.rejected);
+            cxl_obs::merge("serve/sojourn_us", &t.pre_hist);
+            cxl_obs::merge("serve/sojourn_us", &t.post_hist);
+            if t.peak_slabs > 0 {
+                cxl_obs::counter_max(&format!("serve/{name}/peak_lease_slabs"), t.peak_slabs);
+            }
+        }
+        add("serve/faults_injected", u64::from(self.fault_fired));
+        add("serve/lease_rejected", self.lease_rejected);
+        add("serve/guardrail_violations", self.guardrail_violations);
     }
 }
 
@@ -379,18 +376,10 @@ fn on_arrival(e: &mut Engine<ServeWorld>, ti: usize, work: Work) {
     // queue is backpressure for traffic the budget already admitted.
     if !t.bucket.try_take(now, 1.0) {
         t.shed += 1;
-        cxl_obs::counter_add("serve/shed", 1);
-        if cxl_obs::active() {
-            cxl_obs::counter_add(&format!("serve/{}/shed", t.cfg.name), 1);
-        }
         return;
     }
     if t.queue.len() >= t.cfg.queue_cap {
         t.rejected += 1;
-        cxl_obs::counter_add("serve/rejected", 1);
-        if cxl_obs::active() {
-            cxl_obs::counter_add(&format!("serve/{}/rejected", t.cfg.name), 1);
-        }
         return;
     }
     t.queue.push_back(Queued { arrived: now, work });
@@ -438,20 +427,22 @@ fn on_complete(e: &mut Engine<ServeWorld>, ti: usize, arrived: SimTime) {
     } else {
         t.pre_hist.record(lat_us);
     }
-    cxl_obs::counter_add("serve/served", 1);
-    cxl_obs::record("serve/sojourn_us", lat_us);
-    if cxl_obs::active() {
-        cxl_obs::counter_add(&format!("serve/{}/served", t.cfg.name), 1);
-    }
     dispatch(e, ti);
 }
 
 /// One autoscale tick: refresh every tenant's backlog EWMA, walk its
-/// lease rung with hysteresis and cooldown, actuate through the plant,
-/// and audit invariants.
+/// lease rung with hysteresis and cooldown, resize the lease, and audit
+/// invariants.
 fn autoscale_tick(e: &mut Engine<ServeWorld>) {
     let now = e.now();
     let n = e.state().tenants.len();
+    let cooldown = e
+        .state()
+        .cfg
+        .autoscale
+        .as_ref()
+        .expect("tick only runs adaptive")
+        .cooldown_ticks;
     for ti in 0..n {
         let decision = {
             let w = e.state_mut();
@@ -481,24 +472,17 @@ fn autoscale_tick(e: &mut Engine<ServeWorld>) {
         };
         let Some(target) = decision else { continue };
         let w = e.state_mut();
-        match Plant::apply(w, ti, target) {
-            Ok(()) => {
-                let cooldown = w.knobs[ti].cooldown_ticks;
-                let t = &mut w.tenants[ti];
-                t.rung = target;
-                t.cooldown = cooldown;
-            }
-            Err(CtlError::Rejected(_)) => {
-                // Contention for the shared pool is normal operation:
-                // count it and retry on a later tick.
-                w.lease_rejected += 1;
-                cxl_obs::counter_add("serve/lease_rejected", 1);
-            }
-            Err(e) => unreachable!("knob index is always valid: {e:?}"),
+        if w.set_lease(ti, w.ladder[target]).is_ok() {
+            let t = &mut w.tenants[ti];
+            t.rung = target;
+            t.cooldown = cooldown;
+        } else {
+            // Contention for the shared pool is normal operation: count
+            // it and retry on a later tick.
+            w.lease_rejected += 1;
         }
         if let Err(msg) = w.check_invariants() {
             w.guardrail_violations += 1;
-            cxl_obs::counter_add("serve/guardrail_violations", 1);
             debug_assert!(false, "serve invariant violated: {msg}");
         }
         // After a successful lease change a burst of queued work may now
@@ -715,6 +699,7 @@ pub fn run_serve(cfg: &ServeConfig) -> ServeReport {
 
     let mut w = engine.into_state();
     w.accrue(horizon);
+    w.record_totals();
 
     let horizon_s = horizon.as_secs_f64();
     let mut base_cost_units = 0.0;

@@ -13,14 +13,16 @@ use cxl_topology::NodeId;
 /// A recoverable tiering-layer failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TierError {
-    /// An operation required a different allocation policy (e.g.
-    /// [`crate::TierManager::set_interleave`] without an N:M interleave
-    /// policy in force). Carries the requirement's description.
+    /// An operation required a different migration mode (e.g.
+    /// [`crate::TierManager::set_promote_rate`] without a rate-limited
+    /// mode in force). Carries the requirement's description.
     WrongPolicy(&'static str),
     /// The page is already on SSD, so it cannot be evicted again.
     AlreadyOnSsd(PageId),
     /// The page is not on SSD, so it cannot be loaded from there.
     NotOnSsd(PageId),
+    /// The page was freed; it holds no data to move and no capacity.
+    Freed(PageId),
     /// No node (or SSD, if spill is disabled) can absorb the page(s).
     OutOfMemory(OutOfMemory),
     /// A user-supplied configuration is internally inconsistent; the
@@ -36,6 +38,7 @@ impl std::fmt::Display for TierError {
             TierError::WrongPolicy(req) => write!(f, "{req}"),
             TierError::AlreadyOnSsd(p) => write!(f, "page {p:?} already on SSD"),
             TierError::NotOnSsd(p) => write!(f, "page {p:?} not on SSD"),
+            TierError::Freed(p) => write!(f, "page {p:?} was freed"),
             TierError::OutOfMemory(e) => write!(f, "{e}"),
             TierError::InvalidConfig(msg) => write!(f, "{msg}"),
             TierError::UnknownNode(n) => write!(f, "node {n:?} is not part of this topology"),

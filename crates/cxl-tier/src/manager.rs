@@ -133,6 +133,9 @@ struct NodeInfo {
     socket: SocketId,
     capacity_pages: u64,
     used_pages: u64,
+    /// Promotions and demotions that landed here.
+    promotions_to: u64,
+    demotions_to: u64,
 }
 
 impl NodeInfo {
@@ -171,6 +174,8 @@ pub struct TierManager {
     node_reads: Vec<u64>,
     node_writes: Vec<u64>,
     stats: TierStats,
+    /// Each drain's rate-limited duration, ns.
+    evacuation_ns: Vec<u64>,
     /// Last reported DRAM bandwidth utilization (set by the application
     /// layer from the performance model each epoch; §5.3 policy input).
     dram_bw_util: f64,
@@ -221,6 +226,8 @@ impl TierManager {
                     socket: n.socket,
                     capacity_pages: cap_bytes / cfg.page_size,
                     used_pages: 0,
+                    promotions_to: 0,
+                    demotions_to: 0,
                 }
             })
             .collect();
@@ -299,6 +306,7 @@ impl TierManager {
             node_reads: vec![0; node_count],
             node_writes: vec![0; node_count],
             stats: TierStats::default(),
+            evacuation_ns: Vec::new(),
             dram_bw_util: 0.0,
             trace: None,
         })
@@ -389,11 +397,19 @@ impl TierManager {
             .filter(|n| n.used_pages > 0)
             .map(|n| (Location::Node(n.id), n.used_pages))
             .collect();
-        let ssd = self.pages.iter().filter(|p| p.location.is_ssd()).count() as u64;
+        let ssd = self.ssd_pages();
         if ssd > 0 {
             out.push((Location::Ssd, ssd));
         }
         out
+    }
+
+    /// Allocated pages on SSD; freed ones hold nothing.
+    fn ssd_pages(&self) -> u64 {
+        self.pages
+            .iter()
+            .filter(|p| !p.freed && p.location.is_ssd())
+            .count() as u64
     }
 
     /// Captures a point-in-time placement snapshot.
@@ -411,58 +427,15 @@ impl TierManager {
             .map(|n| n.used_pages)
             .sum();
         let resident: u64 = self.nodes.iter().map(|n| n.used_pages).sum();
-        let ssd = self
-            .pages
-            .iter()
-            .filter(|p| !p.freed && p.location.is_ssd())
-            .count() as u64;
         TierSnapshot {
             nodes,
-            ssd_pages: ssd,
+            ssd_pages: self.ssd_pages(),
             top_tier_fraction: if resident > 0 {
                 top as f64 / resident as f64
             } else {
                 0.0
             },
             stats: self.stats.clone(),
-        }
-    }
-
-    /// Reconfigures the N:M interleave ratio at runtime, mirroring the
-    /// `vm.numa_tier_interleave` sysctl (§2.3). Only subsequent
-    /// allocations are affected; resident pages stay where they are.
-    ///
-    /// Errors (leaving the policy unchanged) if the current policy is
-    /// not an N:M interleave or the new cycle is empty — these used to
-    /// abort the process, but a bad sysctl write should never take the
-    /// serving path down with it.
-    pub fn set_interleave(&mut self, n: u32, m: u32) -> Result<(), TierError> {
-        if n + m == 0 {
-            return Err(TierError::InvalidConfig(
-                "N:M interleave needs a nonzero cycle".to_string(),
-            ));
-        }
-        let AllocPolicy::InterleaveNm { top, low, .. } = self.cfg.policy.clone() else {
-            return Err(TierError::WrongPolicy(
-                "set_interleave requires an InterleaveNm policy",
-            ));
-        };
-        self.cfg.policy = AllocPolicy::interleave(top, low, n, m);
-        self.cursor = PolicyCursor::new(self.cfg.policy.clone());
-        Ok(())
-    }
-
-    /// The configured promotion rate limit in bytes/second, when a
-    /// rate-limited migration mode (hot-page selection or
-    /// bandwidth-aware) is active.
-    pub fn promote_rate(&self) -> Option<f64> {
-        match &self.cfg.migration {
-            MigrationMode::HotPageSelection(h)
-            | MigrationMode::BandwidthAware(crate::migration::BandwidthAwareConfig {
-                base: h,
-                ..
-            }) => Some(h.promote_rate_limit_bytes_per_sec),
-            _ => None,
         }
     }
 
@@ -498,76 +471,6 @@ impl TierManager {
         Ok(())
     }
 
-    /// The configured promotion fault-streak requirement, when a
-    /// rate-limited migration mode is active.
-    pub fn promote_after_faults(&self) -> Option<u32> {
-        match &self.cfg.migration {
-            MigrationMode::HotPageSelection(_) | MigrationMode::BandwidthAware(_) => {
-                Some(self.promote_after_faults)
-            }
-            _ => None,
-        }
-    }
-
-    /// Retunes the promotion fault-streak requirement at runtime — the
-    /// storm-aware knob: raising it mid-run (say before a known GC
-    /// cycle) filters one-shot trace sweeps without rebuilding the
-    /// manager. Accrued per-page streaks are kept; only the bar moves.
-    ///
-    /// Errors (leaving everything unchanged) when no rate-limited
-    /// migration mode is active or `n` is zero (which would silently
-    /// disable promotion; see [`crate::HotPageConfig::validate`]).
-    pub fn set_promote_after_faults(&mut self, n: u32) -> Result<(), TierError> {
-        let h = match &mut self.cfg.migration {
-            MigrationMode::HotPageSelection(h) => h,
-            MigrationMode::BandwidthAware(b) => &mut b.base,
-            _ => {
-                return Err(TierError::WrongPolicy(
-                    "set_promote_after_faults requires a rate-limited migration mode",
-                ))
-            }
-        };
-        let candidate = crate::migration::HotPageConfig {
-            promote_after_faults: n,
-            ..*h
-        };
-        candidate.validate()?;
-        *h = candidate;
-        self.promote_after_faults = n;
-        Ok(())
-    }
-
-    /// The configured bandwidth-aware demote batch (pages per tick
-    /// while DRAM is over the high watermark), when that mode is active.
-    pub fn demote_batch(&self) -> Option<usize> {
-        match &self.cfg.migration {
-            MigrationMode::BandwidthAware(b) => Some(b.demote_batch),
-            _ => None,
-        }
-    }
-
-    /// Retunes the bandwidth-aware demote batch at runtime.
-    ///
-    /// Errors (leaving the config unchanged) when the migration mode is
-    /// not bandwidth-aware, or when `batch` is zero — the same
-    /// constraint [`crate::migration::BandwidthAwareConfig::validate`]
-    /// enforces at construction, since a zero batch silently disables
-    /// over-watermark demotion.
-    pub fn set_demote_batch(&mut self, batch: usize) -> Result<(), TierError> {
-        let MigrationMode::BandwidthAware(b) = &mut self.cfg.migration else {
-            return Err(TierError::WrongPolicy(
-                "set_demote_batch requires the bandwidth-aware migration mode",
-            ));
-        };
-        let candidate = crate::migration::BandwidthAwareConfig {
-            demote_batch: batch,
-            ..*b
-        };
-        candidate.validate()?;
-        *b = candidate;
-        Ok(())
-    }
-
     /// Allocates one page per the placement policy.
     ///
     /// Placement does not depend on the allocation instant `_now`; it is
@@ -581,7 +484,6 @@ impl TierManager {
             let id = self.push_page(PackedLocation::SSD);
             self.stats.allocated += 1;
             self.stats.ssd_spills += 1;
-            cxl_obs::counter_add("tier/ssd_spills", 1);
             Ok(id)
         } else {
             Err(OutOfMemory)
@@ -690,7 +592,6 @@ impl TierManager {
         self.pages[idx].hint_installed = false;
         let prev_fault = std::mem::replace(&mut self.faults[idx].last_hint_fault, now);
         self.stats.hint_faults += 1;
-        cxl_obs::counter_add("tier/hint_faults", 1);
         outcome.hint_fault = true;
         outcome.fault_cost = match &self.cfg.migration {
             MigrationMode::NumaBalancing(b) => b.hint_fault_cost,
@@ -721,7 +622,6 @@ impl TierManager {
                 // §5.3: never promote into a bandwidth-saturated top tier.
                 if self.dram_bw_util > b.high_watermark {
                     self.stats.promotions_bw_suppressed += 1;
-                    cxl_obs::counter_add("tier/promotions_bw_suppressed", 1);
                     self.record_trace(now, TierEvent::PromotionSuppressed { page });
                 } else {
                     outcome.promoted = self.hot_page_promotion(page, node, prev_fault, now);
@@ -746,13 +646,11 @@ impl TierManager {
         if !recent {
             history.fault_streak = 0;
             self.stats.promotions_not_hot += 1;
-            cxl_obs::counter_add("tier/promotions_not_hot", 1);
             return false;
         }
         history.fault_streak = history.fault_streak.saturating_add(1);
         if history.fault_streak < self.promote_after_faults {
             self.stats.promotions_below_streak += 1;
-            cxl_obs::counter_add("tier/promotions_below_streak", 1);
             return false;
         }
         self.promo_candidates_period += 1;
@@ -766,7 +664,6 @@ impl TierManager {
             self.promote(page, node, now)
         } else {
             self.stats.promotions_rate_limited += 1;
-            cxl_obs::counter_add("tier/promotions_rate_limited", 1);
             false
         }
     }
@@ -779,10 +676,7 @@ impl TierManager {
         };
         self.move_page(page, from, target, now);
         self.stats.promotions += 1;
-        if cxl_obs::active() {
-            cxl_obs::counter_add("tier/promotions", 1);
-            cxl_obs::counter_add(&format!("tier/promotions/to_node{}", target.0), 1);
-        }
+        self.nodes[target.0].promotions_to += 1;
         true
     }
 
@@ -832,7 +726,6 @@ impl TierManager {
     ) -> bool {
         if !self.has_room(target) {
             self.stats.demotions_target_full += 1;
-            cxl_obs::counter_add("tier/demotions_target_full", 1);
             match self.demotion_target(self.cfg.accessor_socket) {
                 Some(fresh) => target = fresh,
                 None => {
@@ -844,20 +737,9 @@ impl TierManager {
         let remote = self.nodes[target.0].socket != self.cfg.accessor_socket;
         self.move_page(page, from, target, now);
         self.stats.demotions += 1;
+        self.nodes[target.0].demotions_to += 1;
         if remote {
             self.stats.demotions_remote_socket += 1;
-        }
-        if cxl_obs::active() {
-            cxl_obs::counter_add("tier/demotions", 1);
-            cxl_obs::counter_add(
-                if remote {
-                    "tier/demotions_remote_socket"
-                } else {
-                    "tier/demotions_local_socket"
-                },
-                1,
-            );
-            cxl_obs::counter_add(&format!("tier/demotions/to_node{}", target.0), 1);
         }
         true
     }
@@ -911,7 +793,6 @@ impl TierManager {
         self.rings[to.0].push_back(page);
         self.epoch.record_migration(from, to, self.cfg.page_size);
         self.stats.migration_bytes += self.cfg.page_size;
-        cxl_obs::counter_add("tier/migration_bytes", self.cfg.page_size);
         if self.trace.is_some() {
             let event = if self.nodes[to.0].tier.is_top_tier() {
                 TierEvent::Promoted { page, from, to }
@@ -927,9 +808,14 @@ impl TierManager {
     ///
     /// Errors if the page is already on SSD; under concurrent eviction
     /// pressure (or an evacuation racing an application's own cold-value
-    /// logic) a stale victim choice is routine, not fatal.
+    /// logic) a stale victim choice is routine, not fatal. Errors with
+    /// [`TierError::Freed`] on a freed page, whose capacity `free`
+    /// already returned.
     pub fn evict_to_ssd(&mut self, page: PageId) -> Result<(), TierError> {
         let meta = &mut self.pages[page.0 as usize];
+        if meta.freed {
+            return Err(TierError::Freed(page));
+        }
         let Location::Node(node) = meta.location.unpack() else {
             return Err(TierError::AlreadyOnSsd(page));
         };
@@ -937,7 +823,6 @@ impl TierManager {
         meta.hint_installed = false;
         self.nodes[node.0].used_pages -= 1;
         self.stats.evictions_to_ssd += 1;
-        cxl_obs::counter_add("tier/evictions_to_ssd", 1);
         self.epoch.record_ssd(self.cfg.page_size, true);
         self.record_trace(
             SimTime::ZERO.max(self.last_trace_time()),
@@ -957,10 +842,16 @@ impl TierManager {
 
     /// Loads a page back from SSD via the allocation policy.
     ///
-    /// Errors with [`TierError::NotOnSsd`] if the page is resident, or
-    /// [`TierError::OutOfMemory`] when no policy node has room.
+    /// Errors with [`TierError::NotOnSsd`] if the page is resident,
+    /// [`TierError::Freed`] if it was freed (placing it would charge
+    /// capacity no `free` returns), or [`TierError::OutOfMemory`] when
+    /// no policy node has room.
     pub fn load_from_ssd(&mut self, page: PageId, now: SimTime) -> Result<(), TierError> {
-        if !self.pages[page.0 as usize].location.is_ssd() {
+        let meta = self.pages[page.0 as usize];
+        if meta.freed {
+            return Err(TierError::Freed(page));
+        }
+        if !meta.location.is_ssd() {
             return Err(TierError::NotOnSsd(page));
         }
         let nodes = &self.nodes;
@@ -971,7 +862,6 @@ impl TierManager {
         self.nodes[target.0].used_pages += 1;
         self.rings[target.0].push_back(page);
         self.stats.ssd_loads += 1;
-        cxl_obs::counter_add("tier/ssd_loads", 1);
         self.epoch.record_ssd(self.cfg.page_size, false);
         self.record_node_access(target, self.cfg.page_size, true);
         self.record_trace(now, TierEvent::LoadedFromSsd { page, to: target });
@@ -1099,12 +989,7 @@ impl TierManager {
         self.stats.evacuations += 1;
         self.stats.evacuated_pages += total_pages;
         self.stats.evacuated_to_ssd += to_ssd;
-        if cxl_obs::active() {
-            cxl_obs::counter_add("tier/evacuations", 1);
-            cxl_obs::counter_add("tier/evacuated_pages", total_pages);
-            cxl_obs::counter_add("tier/evacuated_to_ssd", to_ssd);
-            cxl_obs::record("tier/evacuation_duration_ns", (completed_at - now).as_ns());
-        }
+        self.evacuation_ns.push((completed_at - now).as_ns());
         Ok(EvacuationReport {
             node,
             pages_moved: moved,
@@ -1277,6 +1162,66 @@ impl TierManager {
             }
         }
         e
+    }
+}
+
+impl Drop for TierManager {
+    /// Hands the manager's totals to the current `cxl-obs` registry:
+    /// each nonzero [`TierStats`] count under `tier/<field>`, demotions
+    /// split by socket, per-node promotion and demotion destinations,
+    /// and the drain counters and durations whenever a drain ran. These
+    /// are the keys and values one call per event would have left.
+    ///
+    /// A manager with nothing to hand over does not touch `cxl-obs`:
+    /// a thread's first call there allocates, and building and dropping
+    /// Fig. 5's stores with an up-front `active()` check here tripled
+    /// their page faults (DESIGN.md §9, "Counted once").
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            return;
+        }
+        let s = &self.stats;
+        let add = |name: &str, n: u64| {
+            if n > 0 {
+                cxl_obs::counter_add(name, n);
+            }
+        };
+        add("tier/ssd_spills", s.ssd_spills);
+        add("tier/hint_faults", s.hint_faults);
+        add("tier/promotions", s.promotions);
+        add("tier/promotions_rate_limited", s.promotions_rate_limited);
+        add("tier/promotions_not_hot", s.promotions_not_hot);
+        add("tier/promotions_below_streak", s.promotions_below_streak);
+        add("tier/promotions_bw_suppressed", s.promotions_bw_suppressed);
+        add("tier/demotions", s.demotions);
+        add("tier/demotions_remote_socket", s.demotions_remote_socket);
+        add(
+            "tier/demotions_local_socket",
+            s.demotions - s.demotions_remote_socket,
+        );
+        add("tier/demotions_target_full", s.demotions_target_full);
+        add("tier/evictions_to_ssd", s.evictions_to_ssd);
+        add("tier/ssd_loads", s.ssd_loads);
+        add("tier/migration_bytes", s.migration_bytes);
+        for n in self
+            .nodes
+            .iter()
+            .filter(|n| n.promotions_to + n.demotions_to > 0)
+        {
+            add(
+                &format!("tier/promotions/to_node{}", n.id.0),
+                n.promotions_to,
+            );
+            add(&format!("tier/demotions/to_node{}", n.id.0), n.demotions_to);
+        }
+        if s.evacuations > 0 {
+            cxl_obs::counter_add("tier/evacuations", s.evacuations);
+            cxl_obs::counter_add("tier/evacuated_pages", s.evacuated_pages);
+            cxl_obs::counter_add("tier/evacuated_to_ssd", s.evacuated_to_ssd);
+            for &ns in &self.evacuation_ns {
+                cxl_obs::record("tier/evacuation_duration_ns", ns);
+            }
+        }
     }
 }
 
@@ -1485,27 +1430,6 @@ mod tests {
     }
 
     #[test]
-    fn set_promote_after_faults_retunes_live_manager() {
-        let (mut tm, p) = streak_manager(1);
-        assert_eq!(tm.promote_after_faults(), Some(1));
-        tm.set_promote_after_faults(2).unwrap();
-        assert_eq!(tm.promote_after_faults(), Some(2));
-        assert!(!hint_and_fault(&mut tm, p, 200).promoted); // Not hot.
-        assert!(!hint_and_fault(&mut tm, p, 300).promoted); // Streak 1 of 2.
-        assert!(hint_and_fault(&mut tm, p, 400).promoted);
-        // Zero is rejected, config untouched.
-        assert!(tm.set_promote_after_faults(0).is_err());
-        assert_eq!(tm.promote_after_faults(), Some(2));
-    }
-
-    #[test]
-    fn set_promote_after_faults_requires_rate_limited_mode() {
-        let mut tm = TierManager::new(&topo(), TierConfig::bind(vec![DRAM0]));
-        assert!(tm.promote_after_faults().is_none());
-        assert!(tm.set_promote_after_faults(2).is_err());
-    }
-
-    #[test]
     fn alloc_preferring_overrides_policy_until_full() {
         let mut cfg = TierConfig::bind(vec![DRAM0]);
         cfg.capacity_override = small_caps(4, 1);
@@ -1646,7 +1570,6 @@ mod tests {
                 promote_after_faults: 1,
             },
             high_watermark: 0.75,
-            low_watermark: 0.60,
             demote_batch: 8,
         });
         TierManager::new(&topo(), cfg)
@@ -1780,36 +1703,21 @@ mod tests {
         assert!(snap.summary().contains("75% top tier"));
     }
 
-    #[test]
-    fn set_interleave_retunes_future_allocations() {
-        let mut cfg = TierConfig::bind(vec![DRAM0]);
-        cfg.policy = AllocPolicy::interleave(vec![DRAM0], vec![CXL0], 1, 1);
-        let mut tm = TierManager::new(&topo(), cfg);
-        tm.alloc_n(100, SimTime::ZERO).unwrap();
-        assert_eq!(tm.node_usage(DRAM0).0, 50);
-        // Retune to 3:1 like echoing into the sysctl.
-        tm.set_interleave(3, 1).unwrap();
-        tm.alloc_n(100, SimTime::ZERO).unwrap();
-        assert_eq!(tm.node_usage(DRAM0).0, 125);
-        assert_eq!(tm.node_usage(CXL0).0, 75);
-    }
-
-    #[test]
-    fn set_interleave_requires_interleave_policy() {
-        let mut tm = TierManager::new(&topo(), TierConfig::bind(vec![DRAM0]));
-        let err = tm
-            .set_interleave(1, 1)
-            .expect_err("bind policy must reject");
-        assert!(matches!(err, TierError::WrongPolicy(_)), "{err:?}");
-        assert!(err.to_string().contains("requires an InterleaveNm policy"));
+    /// The configured promotion rate limit of a rate-limited mode.
+    fn promote_rate(tm: &TierManager) -> Option<f64> {
+        match &tm.cfg.migration {
+            MigrationMode::HotPageSelection(h) => Some(h.promote_rate_limit_bytes_per_sec),
+            MigrationMode::BandwidthAware(b) => Some(b.base.promote_rate_limit_bytes_per_sec),
+            _ => None,
+        }
     }
 
     #[test]
     fn set_promote_rate_retunes_config_and_bucket() {
         let mut tm = bw_aware_manager();
-        assert_eq!(tm.promote_rate(), Some(1e12));
+        assert_eq!(promote_rate(&tm), Some(1e12));
         tm.set_promote_rate(SimTime::from_ms(10), 4096.0).unwrap();
-        assert_eq!(tm.promote_rate(), Some(4096.0));
+        assert_eq!(promote_rate(&tm), Some(4096.0));
         // The live bucket follows: the old (effectively unlimited)
         // budget is gone, so a promotion-sized take beyond the new
         // one-second burst fails.
@@ -1828,57 +1736,14 @@ mod tests {
                 .expect_err("invalid rate must be rejected");
             assert!(matches!(err, TierError::InvalidConfig(_)), "{err:?}");
         }
-        assert_eq!(tm.promote_rate(), Some(1e12), "config unchanged");
+        assert_eq!(promote_rate(&tm), Some(1e12), "config unchanged");
         // Non-rate-limited modes have no bucket to retune.
         let mut plain = TierManager::new(&topo(), TierConfig::bind(vec![DRAM0]));
-        assert_eq!(plain.promote_rate(), None);
+        assert_eq!(promote_rate(&plain), None);
         let err = plain
             .set_promote_rate(SimTime::ZERO, 4096.0)
             .expect_err("MigrationMode::None must reject");
         assert!(matches!(err, TierError::WrongPolicy(_)), "{err:?}");
-    }
-
-    #[test]
-    fn set_demote_batch_retunes_bandwidth_aware_mode() {
-        let mut tm = bw_aware_manager();
-        assert_eq!(tm.demote_batch(), Some(8));
-        tm.set_demote_batch(32).unwrap();
-        assert_eq!(tm.demote_batch(), Some(32));
-        // Zero re-checks the construction-time validation.
-        let err = tm.set_demote_batch(0).expect_err("zero batch rejected");
-        assert!(matches!(err, TierError::InvalidConfig(_)), "{err:?}");
-        assert_eq!(tm.demote_batch(), Some(32), "config unchanged");
-        // Other modes cannot demote by batch at all.
-        let mut plain = TierManager::new(&topo(), TierConfig::bind(vec![DRAM0]));
-        assert_eq!(plain.demote_batch(), None);
-        assert!(matches!(
-            plain.set_demote_batch(8),
-            Err(TierError::WrongPolicy(_))
-        ));
-    }
-
-    #[test]
-    fn set_demote_batch_changes_live_demotion_pressure() {
-        use crate::migration::BandwidthAwareConfig;
-        let mut cfg = TierConfig::bind(vec![DRAM0]);
-        cfg.migration = MigrationMode::BandwidthAware(BandwidthAwareConfig {
-            demote_batch: 4,
-            ..Default::default()
-        });
-        let mut tm = TierManager::new(&topo(), cfg);
-        tm.alloc_n(100, SimTime::ZERO).unwrap();
-        tm.set_dram_bandwidth_util(0.95);
-        tm.tick(SimTime::from_ms(200));
-        let after_small = tm.node_usage(CXL0).0;
-        assert!((4..=8).contains(&after_small), "{after_small}");
-        // Widen the batch: the next over-watermark tick demotes more.
-        tm.set_demote_batch(32).unwrap();
-        tm.tick(SimTime::from_ms(400));
-        assert!(
-            tm.node_usage(CXL0).0 >= after_small + 16,
-            "batch retune had no effect: {}",
-            tm.node_usage(CXL0).0
-        );
     }
 
     #[test]
@@ -1901,6 +1766,57 @@ mod tests {
         let p = tm.alloc(SimTime::ZERO).unwrap();
         tm.free(p);
         tm.free(p);
+    }
+
+    #[test]
+    fn evicting_a_freed_page_is_an_error() {
+        let mut cfg = TierConfig::bind(vec![DRAM0]);
+        cfg.capacity_override = small_caps(2, 0);
+        cfg.allow_ssd_spill = true;
+        let mut tm = TierManager::new(&topo(), cfg);
+        let p = tm.alloc(SimTime::ZERO).unwrap();
+        tm.free(p);
+        assert_eq!(tm.evict_to_ssd(p), Err(TierError::Freed(p)));
+        // The capacity `free` returned is not returned a second time.
+        assert_eq!(tm.node_usage(DRAM0), (0, 2));
+        assert_eq!(tm.stats().evictions_to_ssd, 0);
+    }
+
+    #[test]
+    fn reloading_a_freed_ssd_page_is_an_error() {
+        let mut cfg = TierConfig::bind(vec![DRAM0]);
+        cfg.capacity_override = small_caps(2, 0);
+        cfg.allow_ssd_spill = true;
+        let mut tm = TierManager::new(&topo(), cfg);
+        let p = tm.alloc(SimTime::ZERO).unwrap();
+        tm.evict_to_ssd(p).unwrap();
+        tm.free(p);
+        let err = tm.load_from_ssd(p, SimTime::ZERO).unwrap_err();
+        assert_eq!(err, TierError::Freed(p));
+        assert!(err.to_string().contains("freed"), "{err}");
+        // Nothing was placed or charged.
+        assert_eq!(tm.node_usage(DRAM0), (0, 2));
+        assert_eq!(tm.stats().ssd_loads, 0);
+    }
+
+    #[test]
+    fn residency_skips_freed_ssd_pages() {
+        let mut cfg = TierConfig::bind(vec![DRAM0]);
+        cfg.capacity_override = small_caps(1, 0);
+        cfg.allow_ssd_spill = true;
+        let mut tm = TierManager::new(&topo(), cfg);
+        let resident = tm.alloc(SimTime::ZERO).unwrap();
+        let spilled = tm.alloc_n(2, SimTime::ZERO).unwrap();
+        tm.free(spilled[0]);
+        assert_eq!(tm.location(resident), Location::Node(DRAM0));
+        assert_eq!(
+            tm.residency(),
+            vec![(Location::Node(DRAM0), 1), (Location::Ssd, 1)]
+        );
+        assert_eq!(tm.snapshot().ssd_pages, 1);
+        tm.free(spilled[1]);
+        assert_eq!(tm.residency(), vec![(Location::Node(DRAM0), 1)]);
+        assert_eq!(tm.snapshot().ssd_pages, 0);
     }
 
     #[test]
@@ -1991,28 +1907,29 @@ mod tests {
         ];
         cfg.demotion_watermark = 0.5;
         cfg.migration = MigrationMode::NumaBalancing(NumaBalancingConfig::default());
-        let mut tm = TierManager::new(&two_socket_cxl_topo(), cfg);
-
         let reg = std::sync::Arc::new(cxl_obs::Registry::new());
         let guard = cxl_obs::scope(reg.clone());
+        let mut tm = TierManager::new(&two_socket_cxl_topo(), cfg);
         tm.alloc_n(10, SimTime::ZERO).unwrap();
         tm.tick(SimTime::from_ms(100));
-        drop(guard);
 
         // Watermark 0.5 demotes 5 pages: local CXL takes its full 4,
         // only the overflow page crosses the UPI link.
         assert_eq!(tm.node_usage(NodeId(1)).0, 5);
         assert_eq!(tm.node_usage(NodeId(3)).0, 4);
         assert_eq!(tm.node_usage(NodeId(2)).0, 1);
-        assert_eq!(reg.counter("tier/demotions/to_node3"), Some(4));
-        assert_eq!(reg.counter("tier/demotions/to_node2"), Some(1));
-        assert_eq!(reg.counter("tier/demotions_local_socket"), Some(4));
-        assert_eq!(reg.counter("tier/demotions_remote_socket"), Some(1));
         assert_eq!(tm.stats().demotions, 5);
         assert_eq!(tm.stats().demotions_remote_socket, 1);
         // The move-time re-validation never fired: each demote_one call
         // resolved a fresh in-capacity target.
         assert_eq!(tm.stats().demotions_target_full, 0);
+        // The counts reach the registry when the manager drops.
+        drop(tm);
+        drop(guard);
+        assert_eq!(reg.counter("tier/demotions/to_node3"), Some(4));
+        assert_eq!(reg.counter("tier/demotions/to_node2"), Some(1));
+        assert_eq!(reg.counter("tier/demotions_local_socket"), Some(4));
+        assert_eq!(reg.counter("tier/demotions_remote_socket"), Some(1));
     }
 
     #[test]
@@ -2027,17 +1944,19 @@ mod tests {
         ];
         cfg.demotion_watermark = 0.25;
         cfg.migration = MigrationMode::NumaBalancing(NumaBalancingConfig::default());
-        let mut tm = TierManager::new(&two_socket_cxl_topo(), cfg);
-
         let reg = std::sync::Arc::new(cxl_obs::Registry::new());
         let guard = cxl_obs::scope(reg.clone());
+        let mut tm = TierManager::new(&two_socket_cxl_topo(), cfg);
         tm.alloc_n(8, SimTime::ZERO).unwrap();
         tm.tick(SimTime::from_ms(1));
-        drop(guard);
         // Six pages leave DRAM to reach the 0.25 watermark; the local
         // expander had room for all of them, so none crossed sockets.
         assert_eq!(tm.node_usage(NodeId(2)).0, 6);
         assert_eq!(tm.node_usage(NodeId(3)).0, 0);
+        assert_eq!(tm.stats().demotions, 6);
+        assert_eq!(tm.stats().demotions_remote_socket, 0);
+        drop(tm);
+        drop(guard);
         assert_eq!(reg.counter("tier/demotions_local_socket"), Some(6));
         assert_eq!(reg.counter("tier/demotions_remote_socket"), None);
     }

@@ -117,8 +117,6 @@ pub struct BandwidthAwareConfig {
     /// DRAM bandwidth utilization above which promotions stop and
     /// demotion pressure starts (§5.3's example: ~0.7 is already risky).
     pub high_watermark: f64,
-    /// Utilization below which promotions resume.
-    pub low_watermark: f64,
     /// Pages demoted per tick while above the high watermark, shifting
     /// streaming load onto the expander's spare bandwidth.
     pub demote_batch: usize,
@@ -129,7 +127,6 @@ impl Default for BandwidthAwareConfig {
         Self {
             base: HotPageConfig::default(),
             high_watermark: 0.75,
-            low_watermark: 0.60,
             demote_batch: 64,
         }
     }
@@ -138,26 +135,17 @@ impl Default for BandwidthAwareConfig {
 impl BandwidthAwareConfig {
     /// Checks the config is internally consistent.
     ///
-    /// A `low_watermark >= high_watermark` makes the promote/demote
-    /// hysteresis band empty (the manager would oscillate every tick),
-    /// and `demote_batch == 0` silently turns the above-watermark
-    /// demotion into a no-op. Both used to be accepted and misbehave
-    /// quietly; now they are rejected where the config is used
-    /// ([`crate::TierManager::try_new`]).
+    /// A watermark outside `[0, 1]` (or NaN) can never or always be
+    /// crossed, and `demote_batch == 0` silently turns the
+    /// above-watermark demotion into a no-op. Both used to be accepted
+    /// and misbehave quietly; now they are rejected where the config is
+    /// used ([`crate::TierManager::try_new`]).
     pub fn validate(&self) -> Result<(), crate::TierError> {
         self.base.validate()?;
-        // NaN watermarks fall through to the range check below.
-        if self.low_watermark >= self.high_watermark {
+        if !(0.0..=1.0).contains(&self.high_watermark) {
             return Err(crate::TierError::InvalidConfig(format!(
-                "bandwidth-aware watermarks must satisfy low < high, got low {} >= high {}",
-                self.low_watermark, self.high_watermark
-            )));
-        }
-        if !(0.0..=1.0).contains(&self.low_watermark) || !(0.0..=1.0).contains(&self.high_watermark)
-        {
-            return Err(crate::TierError::InvalidConfig(format!(
-                "bandwidth-aware watermarks must lie in [0, 1], got low {} high {}",
-                self.low_watermark, self.high_watermark
+                "bandwidth-aware high_watermark must lie in [0, 1], got {}",
+                self.high_watermark
             )));
         }
         if self.demote_batch == 0 {
@@ -185,21 +173,21 @@ mod tests {
     #[test]
     fn bandwidth_aware_defaults_ordered() {
         let c = BandwidthAwareConfig::default();
-        assert!(c.low_watermark < c.high_watermark);
+        assert!((0.0..=1.0).contains(&c.high_watermark));
         assert!(c.demote_batch > 0);
+        assert!(c.validate().is_ok());
     }
 
     #[test]
-    fn inverted_watermarks_are_rejected() {
-        let mut c = BandwidthAwareConfig::default();
-        assert!(c.validate().is_ok());
-        c.low_watermark = 0.80;
-        c.high_watermark = 0.75;
-        let err = c.validate().expect_err("low >= high must be rejected");
-        assert!(err.to_string().contains("low < high"), "{err}");
-        // Equal watermarks leave no hysteresis band either.
-        c.low_watermark = 0.75;
-        assert!(c.validate().is_err());
+    fn out_of_range_high_watermark_is_rejected() {
+        for high in [-0.1, 1.5, f64::NAN] {
+            let c = BandwidthAwareConfig {
+                high_watermark: high,
+                ..Default::default()
+            };
+            let err = c.validate().expect_err("watermark outside [0, 1]");
+            assert!(err.to_string().contains("high_watermark"), "{err}");
+        }
     }
 
     #[test]

@@ -38,7 +38,6 @@ fn main() {
             promote_after_faults: 1,
         },
         high_watermark: 0.75,
-        low_watermark: 0.60,
         demote_batch: 32,
     });
     let mut tm = TierManager::new(&topo, cfg);

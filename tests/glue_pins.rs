@@ -6,10 +6,17 @@
 //! Each study's result is serialized to JSON and folded into one
 //! FNV-1a digest. A refactor of that glue must leave every digest
 //! unchanged; a change that moves one changed what the studies compute.
+//!
+//! The studies whose layers hand counts to `cxl-obs` (the KV cells, the
+//! heap, serving, autotune and the fault sweep) also run under a scoped
+//! registry, and the `sim` section of its export is pinned the same way:
+//! a change to how those layers count must leave every key and value as
+//! it was.
 
 use cxl_repro::core_api::experiments::{autotune, faults, fleet, heap, keydb, pool, serve, slo};
 use cxl_repro::core_api::runner::Runner;
 use cxl_repro::core_api::CapacityConfig;
+use cxl_repro::obs;
 use cxl_repro::ycsb::Workload;
 
 /// 64-bit FNV-1a over `s`.
@@ -27,10 +34,22 @@ fn runner() -> Runner {
     Runner::new(1)
 }
 
+/// Runs `study` under a fresh scoped registry; returns its digest and
+/// the digest of the registry's `sim` export.
+fn traced<T: serde::Serialize>(study: impl FnOnce() -> T) -> (u64, u64) {
+    let reg = std::sync::Arc::new(obs::Registry::new());
+    let out = {
+        let _scope = obs::scope(reg.clone());
+        study()
+    };
+    (digest(&out), fnv1a(&reg.export_sim_json()))
+}
+
 #[test]
 fn faults_study_is_pinned() {
-    let s = faults::run_with(&runner(), faults::FaultParams::smoke());
-    assert_eq!(digest(&s), 0x1951_8ee7_6431_1d9e, "faults");
+    let (study, sim) = traced(|| faults::run_with(&runner(), faults::FaultParams::smoke()));
+    assert_eq!(study, 0x1951_8ee7_6431_1d9e, "faults");
+    assert_eq!(sim, 0x59ea_e4b4_9cf5_ff3f, "faults sim export {sim:#018x}");
 }
 
 #[test]
@@ -46,22 +65,34 @@ fn slo_study_is_pinned() {
 
 #[test]
 fn keydb_flash_cell_is_pinned() {
-    let c = keydb::run_cell(
-        CapacityConfig::MmemSsd04,
-        Workload::D,
-        keydb::Fig5Params::smoke(),
+    let (cell, sim) = traced(|| {
+        keydb::run_cell(
+            CapacityConfig::MmemSsd04,
+            Workload::D,
+            keydb::Fig5Params::smoke(),
+        )
+    });
+    assert_eq!(cell, 0x9bf1_4d5f_91d0_4cc5, "keydb flash");
+    assert_eq!(
+        sim, 0x1551_3a19_13c9_d687,
+        "keydb flash sim export {sim:#018x}"
     );
-    assert_eq!(digest(&c), 0x9bf1_4d5f_91d0_4cc5, "keydb flash");
 }
 
 #[test]
 fn keydb_hot_promote_cell_is_pinned() {
-    let c = keydb::run_cell(
-        CapacityConfig::HotPromote,
-        Workload::A,
-        keydb::Fig5Params::smoke(),
+    let (cell, sim) = traced(|| {
+        keydb::run_cell(
+            CapacityConfig::HotPromote,
+            Workload::A,
+            keydb::Fig5Params::smoke(),
+        )
+    });
+    assert_eq!(cell, 0xec18_c49e_09a9_3643, "keydb hot-promote");
+    assert_eq!(
+        sim, 0x86c9_c391_6b25_24f4,
+        "keydb hot-promote sim export {sim:#018x}"
     );
-    assert_eq!(digest(&c), 0xec18_c49e_09a9_3643, "keydb hot-promote");
 }
 
 /// The whole smoke-size Fig. 5 grid: 28 cells, each workload's seven
@@ -82,8 +113,9 @@ fn keydb_study_is_pinned_on_four_workers() {
 
 #[test]
 fn heap_study_is_pinned() {
-    let s = heap::run_with(&runner(), heap::HeapStudyParams::smoke());
-    assert_eq!(digest(&s), 0x07ea_3620_c871_8326, "heap");
+    let (study, sim) = traced(|| heap::run_with(&runner(), heap::HeapStudyParams::smoke()));
+    assert_eq!(study, 0x07ea_3620_c871_8326, "heap");
+    assert_eq!(sim, 0x5782_0455_5cb1_0b33, "heap sim export {sim:#018x}");
 }
 
 #[test]
@@ -100,12 +132,17 @@ fn fleet_study_is_pinned() {
 
 #[test]
 fn serve_study_is_pinned() {
-    let s = serve::run_with(&runner(), serve::ServeParams::smoke());
-    assert_eq!(digest(&s), 0x4fd5_9544_6e46_673d, "serve");
+    let (study, sim) = traced(|| serve::run_with(&runner(), serve::ServeParams::smoke()));
+    assert_eq!(study, 0x4fd5_9544_6e46_673d, "serve");
+    assert_eq!(sim, 0xf0ce_ed2e_eafc_24d2, "serve sim export {sim:#018x}");
 }
 
 #[test]
 fn autotune_study_is_pinned() {
-    let s = autotune::run_with(&runner(), autotune::AutotuneParams::smoke());
-    assert_eq!(digest(&s), 0x270f_3759_fcdc_7831, "autotune");
+    let (study, sim) = traced(|| autotune::run_with(&runner(), autotune::AutotuneParams::smoke()));
+    assert_eq!(study, 0x270f_3759_fcdc_7831, "autotune");
+    assert_eq!(
+        sim, 0xeb37_c8f7_9152_78e3,
+        "autotune sim export {sim:#018x}"
+    );
 }
