@@ -147,10 +147,8 @@ impl FaultKind {
             FaultKind::LatencyInflation { factor, .. } => dev.health.latency_factor = factor,
             FaultKind::CapacityLoss { remaining, .. } => dev.health.capacity_fraction = remaining,
         }
-        if cxl_obs::active() {
-            cxl_obs::counter_add("fault/injected", 1);
-            cxl_obs::counter_add(self.metric(), 1);
-        }
+        cxl_obs::counter_add("fault/injected", 1);
+        cxl_obs::counter_add(self.metric(), 1);
         Ok(())
     }
 
@@ -283,7 +281,8 @@ impl FaultSchedule {
 /// simulated time and is handed to `on_fault` together with the engine,
 /// so the handler can mutate state (apply the fault to its topology,
 /// evacuate pages, re-solve). Returns the scheduled event ids, which
-/// [`Engine::cancel`] accepts to disarm pending faults.
+/// [`Engine::cancel`] accepts to disarm pending faults (each cancel
+/// scans the engine's pending events).
 ///
 /// Events at or before the engine's current time are clamped to fire
 /// immediately rather than panicking the scheduler.

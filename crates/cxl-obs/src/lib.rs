@@ -51,16 +51,15 @@
 //!
 //! A count a layer already keeps in its own state is not recorded per
 //! event. The owner hands its totals to the registry current on its
-//! thread once, when it finishes: the tier manager (`TierStats`) and
-//! the control-plane controller when they drop, the serving and heap
-//! runs when they build their reports, and a KV run by [`merge`]-ing
-//! its latency histogram. A hand-off checks [`active`] at most once,
-//! does nothing while the thread is panicking, and adds exactly the
-//! keys and values the per-event calls would have, so exports do not
-//! depend on which way a count arrived. Per-event calls remain for
-//! metrics no layer keeps: per-access KV latencies, engine events,
-//! tier occupancy samples, pool and fault events, and the runner's
-//! cells.
+//! thread once, when it finishes: the tier manager (`TierStats`), the
+//! control-plane controller and the event engine when they drop, the
+//! serving and heap runs when they build their reports, and a KV run by
+//! [`merge`]-ing its latency histogram. A hand-off checks [`active`] at
+//! most once, does nothing while the thread is panicking, and adds
+//! exactly the keys and values the per-event calls would have, so
+//! exports do not depend on which way a count arrived. Per-event calls
+//! remain for metrics no layer keeps: per-access KV latencies, tier
+//! occupancy samples, pool and fault events, and the runner's cells.
 //!
 //! # Examples
 //!
@@ -111,7 +110,7 @@ pub fn disable() {
 }
 
 /// True when the [`global`] registry is recording.
-pub fn enabled() -> bool {
+fn enabled() -> bool {
     GLOBAL_ENABLED.load(Ordering::Relaxed)
 }
 
@@ -178,15 +177,9 @@ pub fn wall_counter_max(name: &str, v: u64) {
 }
 
 /// Sets a deterministic gauge. Only meaningful from a single logical
-/// stream — parallel writers make the final value scheduling-dependent,
-/// in which case use [`wall_gauge_set`].
+/// stream — parallel writers make the final value scheduling-dependent.
 pub fn gauge_set(name: &str, v: f64) {
     dispatch(|r| r.gauge_set(Class::Sim, name, v));
-}
-
-/// Sets a scheduling-dependent gauge.
-pub fn wall_gauge_set(name: &str, v: f64) {
-    dispatch(|r| r.gauge_set(Class::Wall, name, v));
 }
 
 /// Records one sample into a deterministic histogram.

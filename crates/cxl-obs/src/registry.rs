@@ -267,14 +267,6 @@ impl Registry {
         self.len() == 0
     }
 
-    /// Drops every metric (cold-start for measurements and tests).
-    pub fn reset(&self) {
-        self.metrics
-            .lock()
-            .expect("metrics registry poisoned")
-            .clear();
-    }
-
     fn section(&self, class: Class) -> Value {
         let m = self.metrics.lock().expect("metrics registry poisoned");
         Value::Object(
@@ -439,15 +431,5 @@ mod tests {
         let sim = r.export_sim_json();
         assert!(sim.contains("det"));
         assert!(!sim.contains("sched"));
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let r = Registry::new();
-        r.counter_add(Class::Sim, "a", 1);
-        assert!(!r.is_empty());
-        r.reset();
-        assert!(r.is_empty());
-        assert_eq!(r.len(), 0);
     }
 }

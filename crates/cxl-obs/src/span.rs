@@ -19,12 +19,6 @@ impl Span {
         let armed = crate::active().then(|| (name.to_string(), Instant::now()));
         Span { armed }
     }
-
-    /// Discards the span without recording (e.g. on an error path the
-    /// timing of which would pollute the distribution).
-    pub fn cancel(mut self) {
-        self.armed = None;
-    }
 }
 
 impl Drop for Span {

@@ -1,67 +1,101 @@
-//! The event loop: a time-ordered heap over an arena of event slots.
+//! The event loop: a time-ordered heap of pending events.
 //!
 //! # Storage design
 //!
-//! Event closures live in a slab (`slots`) indexed by the heap entries;
-//! a heap entry is `(time, seq, slot)` where `seq` is the FIFO
-//! tie-break and `slot` the arena index. This replaces the former
-//! `BinaryHeap<(SimTime, u64)>` + side `HashMap<(SimTime, u64),
-//! Scheduled>` + `HashSet<EventId>` design: dispatch is an array index
-//! instead of two sip-hashed map operations, the common
-//! execute-then-reschedule path reuses the just-freed slot without
-//! growing the arena, and cancellation tombstones the slot in place —
-//! dropping the closure immediately and decrementing the live-event
-//! count — so the old design's stale-cancel leak (and the `is_idle`
-//! count-matching bug it caused) cannot be expressed.
-//!
-//! Slot reuse is guarded by a per-slot generation: an [`EventId`] packs
-//! `(slot, generation)`, and a cancel whose generation no longer
-//! matches the slot's is the documented no-op, never a hit on an
-//! unrelated event that happens to reuse the slot.
+//! Each heap entry is a pending event whole: its key `(time, seq)`,
+//! where `seq` is the FIFO tie-break, and its boxed closure. Dispatch
+//! pops the earliest entry and runs its closure; nothing else is kept
+//! per event. An [`EventId`] is the event's `seq`, and
+//! [`Engine::cancel`] removes the matching entry, dropping its closure
+//! at once. That scans the heap, O(pending events), which is cheap
+//! enough because no simulation path cancels.
 //!
 //! A long time-sorted batch (an open-loop arrival trace) goes in as a
 //! *stream* ([`Engine::schedule_stream`]): one seq per item is reserved
-//! up front, but only the next item occupies a slot and a heap entry,
-//! so pending-event memory does not grow with the batch.
+//! up front, but only the next item sits in the heap, so pending-event
+//! memory does not grow with the batch.
+//!
+//! # Counts
+//!
+//! The engine counts executed and cancelled events and the most events
+//! live at once, and hands these to `cxl-obs` once, when it drops or
+//! [`Engine::into_state`] returns, as `sim/events_executed`,
+//! `sim/events_cancelled` and `sim/heap_depth_max`: each only when
+//! nonzero, and nothing while the thread is panicking.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use crate::time::SimTime;
 
 /// Handle to a scheduled event, usable for cancellation.
 ///
-/// Packs the arena slot index and the slot's generation at scheduling
-/// time; it is engine-specific and becomes stale (a cancel no-op) once
-/// the event executes or is cancelled.
+/// Holds the event's seq, unique within its engine; it becomes stale (a
+/// cancel no-op) once the event executes or is cancelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId(u64);
 
-impl EventId {
-    fn pack(slot: u32, gen: u32) -> Self {
-        EventId(((slot as u64) << 32) | gen as u64)
-    }
+type EventFn<S> = Box<dyn FnOnce(&mut Engine<S>)>;
 
-    fn slot(self) -> usize {
-        (self.0 >> 32) as usize
-    }
+/// A pending event, ordered by its `(at, seq)` key alone.
+struct Pending<S> {
+    at: SimTime,
+    seq: u64,
+    f: EventFn<S>,
+}
 
-    fn gen(self) -> u32 {
-        self.0 as u32
+impl<S> Pending<S> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
     }
 }
 
-type EventFn<S> = Box<dyn FnOnce(&mut Engine<S>)>;
+impl<S> PartialEq for Pending<S> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
 
-/// One arena slot: a generation guard plus the event closure.
-///
-/// `f` is `Some` while the event is live; a cancelled event keeps its
-/// heap entry (a *tombstone*) but its closure is dropped eagerly, so
-/// long-lead cancelled timers do not hold captured state for the rest
-/// of the run.
-struct Slot<S> {
-    gen: u32,
-    f: Option<EventFn<S>>,
+impl<S> Eq for Pending<S> {}
+
+impl<S> PartialOrd for Pending<S> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<S> Ord for Pending<S> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+/// The engine's tallies, handed to `cxl-obs` when they drop. A field of
+/// their own, so that `Engine` has no `Drop` and [`Engine::into_state`]
+/// can move the state out.
+#[derive(Default)]
+struct Counts {
+    executed: u64,
+    cancelled: u64,
+    /// Most live events at once.
+    depth_max: usize,
+}
+
+impl Drop for Counts {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            return;
+        }
+        if self.executed > 0 {
+            cxl_obs::counter_add("sim/events_executed", self.executed);
+        }
+        if self.cancelled > 0 {
+            cxl_obs::counter_add("sim/events_cancelled", self.cancelled);
+        }
+        if self.depth_max > 0 {
+            cxl_obs::counter_max("sim/heap_depth_max", self.depth_max as u64);
+        }
+    }
 }
 
 /// A deterministic discrete-event engine over user state `S`.
@@ -72,14 +106,12 @@ struct Slot<S> {
 pub struct Engine<S> {
     now: SimTime,
     seq: u64,
-    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    slots: Vec<Slot<S>>,
-    free: Vec<u32>,
+    heap: BinaryHeap<Reverse<Pending<S>>>,
     /// Scheduled and neither executed nor cancelled, including stream
     /// items not yet in the heap.
     live: usize,
     state: S,
-    executed: u64,
+    counts: Counts,
 }
 
 impl<S> Engine<S> {
@@ -89,11 +121,9 @@ impl<S> Engine<S> {
             now: SimTime::ZERO,
             seq: 0,
             heap: BinaryHeap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
             live: 0,
             state,
-            executed: 0,
+            counts: Counts::default(),
         }
     }
 
@@ -104,11 +134,11 @@ impl<S> Engine<S> {
 
     /// Number of events executed so far.
     pub fn executed(&self) -> u64 {
-        self.executed
+        self.counts.executed
     }
 
     /// Number of live pending events (scheduled, not yet executed, not
-    /// cancelled). Cancelled-but-unreaped tombstones are excluded.
+    /// cancelled).
     #[cfg(test)]
     fn live_events(&self) -> usize {
         self.live
@@ -124,7 +154,8 @@ impl<S> Engine<S> {
         &mut self.state
     }
 
-    /// Consumes the engine, returning the state.
+    /// Consumes the engine, returning the state. The engine's counts go
+    /// to `cxl-obs` here.
     pub fn into_state(self) -> S {
         self.state
     }
@@ -139,35 +170,29 @@ impl<S> Engine<S> {
         at: SimTime,
         f: impl FnOnce(&mut Engine<S>) + 'static,
     ) -> EventId {
-        let id = self.push(at, self.seq, Box::new(f));
+        let seq = self.seq;
+        self.push(at, seq, Box::new(f));
         self.seq += 1;
-        self.live += 1;
-        // True live depth: tombstones of cancelled events don't count.
-        cxl_obs::counter_max("sim/heap_depth_max", self.live as u64);
-        id
+        self.add_live(1);
+        EventId(seq)
     }
 
     /// Files `f` in the heap under the key `(at, seq)`: the one insertion
     /// path, shared by [`Engine::schedule_at`] and stream items. Seq and
     /// live accounting are the caller's.
-    fn push(&mut self, at: SimTime, seq: u64, f: EventFn<S>) -> EventId {
+    fn push(&mut self, at: SimTime, seq: u64, f: EventFn<S>) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: {at} < {}",
             self.now
         );
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                self.slots.push(Slot { gen: 0, f: None });
-                debug_assert!(self.slots.len() <= u32::MAX as usize, "arena overflow");
-                (self.slots.len() - 1) as u32
-            }
-        };
-        let si = slot as usize;
-        self.slots[si].f = Some(f);
-        self.heap.push(Reverse((at, seq, slot)));
-        EventId::pack(slot, self.slots[si].gen)
+        self.heap.push(Reverse(Pending { at, seq, f }));
+    }
+
+    /// Counts `n` newly scheduled events as live.
+    fn add_live(&mut self, n: usize) {
+        self.live += n;
+        self.counts.depth_max = self.counts.depth_max.max(self.live);
     }
 
     /// Schedules every item of a time-sorted stream, running `f` on each
@@ -208,8 +233,7 @@ impl<S> Engine<S> {
         }
         .push_item(self, at, seq, item);
         self.seq += len as u64;
-        self.live += len;
-        cxl_obs::counter_max("sim/heap_depth_max", self.live as u64);
+        self.add_live(len);
     }
 
     /// Schedules an event after a delay from now.
@@ -248,83 +272,31 @@ impl<S> Engine<S> {
 
     /// Cancels a scheduled event, dropping its closure immediately.
     /// Cancelling an already-executed, already-cancelled, or unknown
-    /// event is a no-op.
+    /// event is a no-op. Scans every pending event.
     pub fn cancel(&mut self, id: EventId) {
-        let si = id.slot();
-        if let Some(slot) = self.slots.get_mut(si) {
-            if slot.gen == id.gen() && slot.f.is_some() {
-                slot.f = None; // Tombstone; the heap entry reaps lazily.
-                self.live -= 1;
-                cxl_obs::counter_add("sim/events_cancelled", 1);
-                self.maybe_compact();
-            }
-        }
-    }
-
-    /// Rebuilds the heap without tombstones once they outnumber live
-    /// events. An O(len) filter + heapify here replaces O(len · log
-    /// len) sift-downs of lazy reaping, and since each compaction
-    /// removes at least half the heap, the cost amortizes to O(1) per
-    /// cancellation. Live events keep their `(time, seq, slot)` keys,
-    /// so the pop order — and therefore execution order — is untouched.
-    fn maybe_compact(&mut self) {
-        const MIN_HEAP: usize = 16;
-        if self.heap.len() < MIN_HEAP || self.live * 2 >= self.heap.len() {
-            return;
-        }
-        let slots = &mut self.slots;
-        let free = &mut self.free;
-        let mut entries = std::mem::take(&mut self.heap).into_vec();
-        entries.retain(|&Reverse((_, _, slot))| {
-            let si = slot as usize;
-            if slots[si].f.is_some() {
-                true
-            } else {
-                slots[si].gen = slots[si].gen.wrapping_add(1);
-                free.push(slot);
-                false
-            }
-        });
-        self.heap = BinaryHeap::from(entries);
-    }
-
-    /// Returns the slot to the free list, invalidating outstanding ids.
-    fn free_slot(&mut self, si: usize) {
-        self.slots[si].gen = self.slots[si].gen.wrapping_add(1);
-        self.free.push(si as u32);
-    }
-
-    /// Executes the next live event with timestamp `<= until` (no bound
-    /// when `None`), advancing time. Tombstones at the heap head are
-    /// reaped regardless of their timestamp, but never count as
-    /// execution and never let a live event beyond the boundary run.
-    fn step_bounded(&mut self, until: Option<SimTime>) -> bool {
-        while let Some(&Reverse((t, _, slot))) = self.heap.peek() {
-            let si = slot as usize;
-            if self.slots[si].f.is_none() {
-                // Cancelled: reap the tombstone and keep looking.
-                self.heap.pop();
-                self.free_slot(si);
-                continue;
-            }
-            if let Some(limit) = until {
-                if t > limit {
-                    return false;
-                }
-            }
-            self.heap.pop();
-            let f = self.slots[si].f.take().expect("live slot has a closure");
-            // Free before dispatch: a reschedule inside `f` reuses this
-            // slot without growing the arena.
-            self.free_slot(si);
+        let pending = self.heap.len();
+        self.heap.retain(|Reverse(p)| p.seq != id.0);
+        if self.heap.len() < pending {
             self.live -= 1;
-            self.now = t;
-            self.executed += 1;
-            cxl_obs::counter_add("sim/events_executed", 1);
-            f(self);
-            return true;
+            self.counts.cancelled += 1;
         }
-        false
+    }
+
+    /// Executes the next event if its timestamp is `<= until` (no bound
+    /// when `None`), advancing time.
+    fn step_bounded(&mut self, until: Option<SimTime>) -> bool {
+        let Some(next) = self.heap.peek_mut() else {
+            return false;
+        };
+        if until.is_some_and(|limit| next.0.at > limit) {
+            return false;
+        }
+        let Reverse(Pending { at, f, .. }) = PeekMut::pop(next);
+        self.live -= 1;
+        self.now = at;
+        self.counts.executed += 1;
+        f(self);
+        true
     }
 
     /// Executes the next event, advancing time. Returns `false` when the
@@ -339,9 +311,7 @@ impl<S> Engine<S> {
     }
 
     /// Runs events with timestamps `<= until`, then sets the clock to
-    /// `until` (if it is later than the last event). Cancelled events
-    /// before the boundary are skipped without ever letting a live
-    /// event *beyond* the boundary run.
+    /// `until` (if it is later than the last event).
     pub fn run_until(&mut self, until: SimTime) {
         while self.step_bounded(Some(until)) {}
         if self.now < until {
@@ -349,7 +319,7 @@ impl<S> Engine<S> {
         }
     }
 
-    /// True when no live events remain (tombstones don't count).
+    /// True when no live events remain.
     pub fn is_idle(&self) -> bool {
         self.live == 0
     }
@@ -432,19 +402,20 @@ mod tests {
 
     #[test]
     fn reschedule_reuses_the_arena_slot() {
-        // The hot self-rescheduling pattern must not grow the arena:
-        // one live event at a time needs exactly one slot.
+        // The hot self-rescheduling pattern must not grow the heap: one
+        // live event at a time needs exactly one entry.
         let mut e: Engine<u64> = Engine::new(0);
         fn tick(e: &mut Engine<u64>) {
             *e.state_mut() += 1;
             if *e.state() < 100 {
                 e.schedule_after(SimTime::from_ns(10), tick);
             }
+            assert!(e.heap.len() <= 1, "self-reschedule grew the heap");
         }
         e.schedule_after(SimTime::from_ns(10), tick);
         e.run();
         assert_eq!(*e.state(), 100);
-        assert_eq!(e.slots.len(), 1, "self-reschedule must reuse its slot");
+        assert!(e.heap.is_empty());
     }
 
     #[test]
@@ -489,7 +460,7 @@ mod tests {
         assert_eq!(Rc::strong_count(&token), 2);
         e.cancel(id);
         // The closure (and its captures) must be gone at cancel time,
-        // not when the clock eventually reaches the tombstone.
+        // not when the clock eventually reaches its timestamp.
         assert_eq!(Rc::strong_count(&token), 1);
         e.run();
         assert_eq!(e.executed(), 0);
@@ -556,14 +527,14 @@ mod tests {
 
     #[test]
     fn stale_cancel_never_hits_a_slot_reuser() {
-        // The slot of an executed event is recycled; a stale id into
-        // that slot must not cancel the new tenant.
+        // A stale id, of an executed event, must not cancel an event
+        // scheduled after it.
         let mut e: Engine<u32> = Engine::new(0);
         let old = e.schedule_at(SimTime::from_ns(10), |e| *e.state_mut() += 1);
         e.run();
         assert_eq!(*e.state(), 1);
         e.schedule_at(SimTime::from_ns(20), |e| *e.state_mut() += 100);
-        e.cancel(old); // Generation mismatch: no-op.
+        e.cancel(old); // Executed: no-op.
         e.run();
         assert_eq!(*e.state(), 101, "reused slot's event must survive");
     }
@@ -591,20 +562,38 @@ mod tests {
         e.cancel(a);
         // Live is 2; a fourth schedule may not report depth 4.
         e.schedule_at(SimTime::from_ns(40), |_| {});
-        assert_eq!(reg.max("sim/heap_depth_max"), Some(3));
+        assert_eq!(e.counts.depth_max, 3);
         // Unfired stream items are live although only one is in the heap
-        // (next to the three live keys and a's tombstone).
+        // (next to the three live events; a's entry is gone).
         let stream = (50..55u32).map(|t| (SimTime::from_ns(t.into()), ()));
         e.schedule_stream(stream, |_, ()| {});
-        assert_eq!(e.heap.len(), 5);
-        assert_eq!(reg.max("sim/heap_depth_max"), Some(8));
+        assert_eq!(e.heap.len(), 4);
+        assert_eq!(e.counts.depth_max, 8);
         e.run_until(SimTime::from_ns(51));
         // Five ran (b, c, d and two stream items): live is 3, then 4.
         e.schedule_at(SimTime::from_ns(60), |_| {});
         assert_eq!(e.live_events(), 4);
-        assert_eq!(reg.max("sim/heap_depth_max"), Some(8));
+        assert_eq!(e.counts.depth_max, 8);
+        assert!(reg.is_empty(), "the counts wait for the engine to drop");
+        drop(e);
         drop(guard);
+        assert_eq!(reg.max("sim/heap_depth_max"), Some(8));
+        assert_eq!(reg.counter("sim/events_executed"), Some(5));
         assert_eq!(reg.counter("sim/events_cancelled"), Some(1));
+    }
+
+    #[test]
+    fn a_panicking_engine_hands_over_nothing() {
+        let reg = std::sync::Arc::new(cxl_obs::Registry::new());
+        let _guard = cxl_obs::scope(reg.clone());
+        let run = std::panic::catch_unwind(|| {
+            let mut e: Engine<u32> = Engine::new(0);
+            e.schedule_at(SimTime::from_ns(10), |_| {});
+            e.schedule_at(SimTime::from_ns(20), |_| panic!("event failed"));
+            e.run();
+        });
+        assert!(run.is_err());
+        assert!(reg.is_empty(), "a panicking engine touched the registry");
     }
 
     #[test]
@@ -616,14 +605,14 @@ mod tests {
         let n = 100_000u32;
         e.schedule_stream((0..n).map(|t| (SimTime::from_ns(t.into()), ())), |e, ()| {
             e.schedule_after(SimTime::from_ns(3), |e| *e.state_mut() += 1);
+            assert!(e.heap.len() <= 6, "heap grew to {} entries", e.heap.len());
         });
         assert_eq!(e.live_events(), n as usize);
-        assert_eq!(e.slots.len(), 1);
+        assert_eq!(e.heap.len(), 1);
         e.run();
         assert_eq!(*e.state(), u64::from(n));
         assert_eq!(e.executed(), 2 * u64::from(n));
         assert!(e.is_idle());
-        assert!(e.slots.len() <= 6, "arena grew to {} slots", e.slots.len());
     }
 
     #[test]
@@ -637,9 +626,8 @@ mod tests {
 
     #[test]
     fn mass_cancellation_compacts_without_changing_execution() {
-        // Cancel 97% of a large burst: compaction must kick in (heap
-        // shrinks below the tombstone count) while the survivors still
-        // run in exact time order.
+        // Cancel 97% of a large burst: the cancelled entries must leave
+        // the heap while the survivors still run in exact time order.
         let mut e: Engine<Vec<u64>> = Engine::new(Vec::new());
         let ids: Vec<_> = (0..2_000u64)
             .map(|i| e.schedule_at(SimTime::from_ns(10 + i), move |e| e.state_mut().push(i)))
@@ -651,7 +639,7 @@ mod tests {
         }
         assert!(
             e.heap.len() < 500,
-            "compaction should have reaped tombstones (heap: {})",
+            "cancel should have removed the entries (heap: {})",
             e.heap.len()
         );
         assert_eq!(e.live_events(), 63);

@@ -9,6 +9,10 @@
 //! ties are broken by insertion order, and no wall-clock or OS
 //! randomness is involved.
 //!
+//! The engine keeps its own event counts and hands them to `cxl-obs`
+//! once, when it drops or [`Engine::into_state`] returns
+//! (`sim/events_executed`, `sim/events_cancelled`, `sim/heap_depth_max`).
+//!
 //! # Examples
 //!
 //! ```

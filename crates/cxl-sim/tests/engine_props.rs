@@ -1,10 +1,10 @@
-//! Differential property test: the arena-based [`Engine`] against a
+//! Differential property test: the heap-based [`Engine`] against a
 //! naive reference model.
 //!
 //! The reference stores every scheduled event in a flat `Vec` and scans
 //! it linearly — trivially correct by inspection, with none of the
-//! arena engine's moving parts (slot reuse, generations, tombstone
-//! reaping, boundary-aware stepping, streams). Random op scripts mixing
+//! engine's moving parts (the keyed heap, cancel by removal,
+//! boundary-aware stepping, streams). Random op scripts mixing
 //! schedule, cancel (live / executed / repeated — the stale-id cases
 //! behind the old `is_idle` bug), streams (which the reference schedules
 //! eagerly, one consecutive seq per item), bounded runs (the old
@@ -12,11 +12,15 @@
 //! steps must leave both machines with identical execution order,
 //! clock, executed count, and idleness. Every time sits on a 10 ns grid
 //! so that equal timestamps, where only the seq decides, are common.
+//! When the engine drops inside a scoped registry, its `sim/*` export
+//! must match the model's executed count, peak live count and cancels of
+//! live events, with no key for a zero count.
 
 use cxl_sim::{Engine, EventId, SimTime};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// One entry per scheduled event or stream item, never removed: a stale
 /// handle stays addressable so scripts can exercise cancel-after-execute.
@@ -33,6 +37,10 @@ struct RefModel {
     now: u64,
     seq: u64,
     executed: u64,
+    /// Most events live at once, stream items included.
+    peak_live: u64,
+    /// Cancels that hit a live event.
+    cancelled: u64,
     events: Vec<RefEvent>,
     log: Vec<u32>,
 }
@@ -47,11 +55,16 @@ impl RefModel {
             live: true,
         });
         self.seq += 1;
+        let live = self.events.iter().filter(|e| e.live).count() as u64;
+        self.peak_live = self.peak_live.max(live);
         self.events.len() - 1
     }
 
     fn cancel(&mut self, idx: usize) {
         if let Some(e) = self.events.get_mut(idx) {
+            if e.live {
+                self.cancelled += 1;
+            }
             e.live = false;
         }
     }
@@ -161,6 +174,8 @@ proptest! {
     fn arena_engine_matches_reference_model(
         script in prop::collection::vec((any::<u8>(), 0u64..10_000, any::<u64>()), 1..120)
     ) {
+        let reg = Arc::new(cxl_obs::Registry::new());
+        let scope = cxl_obs::scope(reg.clone());
         let log: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
         let mut eng: Engine<()> = Engine::new(());
         // Each handle with the index of its event in the reference.
@@ -221,5 +236,16 @@ proptest! {
         prop_assert_eq!(eng.executed(), mref.executed);
         prop_assert!(eng.is_idle() && mref.is_idle());
         prop_assert_eq!(&*log.borrow(), &mref.log, "execution order diverged");
+
+        // The engine hands its counts to the registry current when it
+        // drops, each under its key only when nonzero.
+        drop(eng);
+        drop(scope);
+        let nonzero = |n: u64| (n > 0).then_some(n);
+        prop_assert_eq!(reg.counter("sim/events_executed"), nonzero(mref.executed));
+        prop_assert_eq!(reg.max("sim/heap_depth_max"), nonzero(mref.peak_live));
+        prop_assert_eq!(reg.counter("sim/events_cancelled"), nonzero(mref.cancelled));
+        let keys = [mref.executed, mref.peak_live, mref.cancelled];
+        prop_assert_eq!(reg.len(), keys.iter().filter(|&&n| n > 0).count(), "stray key");
     }
 }

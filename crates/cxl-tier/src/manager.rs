@@ -565,10 +565,14 @@ impl TierManager {
 
     /// Records an access of `bytes` to a page and runs fault-driven
     /// promotion logic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` was freed.
     pub fn touch(&mut self, page: PageId, rw: Rw, bytes: u64, now: SimTime) -> AccessOutcome {
         let idx = page.0 as usize;
         let meta = &mut self.pages[idx];
-        debug_assert!(!meta.freed, "touch of freed {page:?}");
+        assert!(!meta.freed, "touch of freed {page:?}");
         meta.referenced = true;
         let hinted = meta.hint_installed;
         let location = meta.location.unpack();
@@ -1335,6 +1339,17 @@ mod tests {
         assert_eq!(tm.location(p), Location::Node(DRAM0));
         assert_eq!(tm.stats().promotions, 1);
         assert!(tm.stats().migration_bytes >= 4096);
+    }
+
+    #[test]
+    #[should_panic(expected = "touch of freed PageId(0)")]
+    fn touching_a_freed_page_panics() {
+        // A freed CXL page still carries its hint; taking that fault
+        // would promote the page and take it off its node a second time.
+        let (mut tm, p) =
+            hinted_manager(MigrationMode::NumaBalancing(NumaBalancingConfig::default()));
+        tm.free(p);
+        tm.touch(p, Rw::Read, 64, SimTime::from_ms(300));
     }
 
     #[test]

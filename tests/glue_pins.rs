@@ -8,10 +8,10 @@
 //! unchanged; a change that moves one changed what the studies compute.
 //!
 //! The studies whose layers hand counts to `cxl-obs` (the KV cells, the
-//! heap, serving, autotune and the fault sweep) also run under a scoped
-//! registry, and the `sim` section of its export is pinned the same way:
-//! a change to how those layers count must leave every key and value as
-//! it was.
+//! heap, serving, autotune, the fault sweep, and the pool and fleet sims
+//! on the event engine) also run under a scoped registry, and the `sim`
+//! section of its export is pinned the same way: a change to how those
+//! layers count must leave every key and value as it was.
 
 use cxl_repro::core_api::experiments::{autotune, faults, fleet, heap, keydb, pool, serve, slo};
 use cxl_repro::core_api::runner::Runner;
@@ -120,14 +120,16 @@ fn heap_study_is_pinned() {
 
 #[test]
 fn pool_study_is_pinned() {
-    let s = pool::run_with(&runner(), pool::PoolParams::smoke());
-    assert_eq!(digest(&s), 0xf6b5_a5f6_ad14_dee4, "pool");
+    let (study, sim) = traced(|| pool::run_with(&runner(), pool::PoolParams::smoke()));
+    assert_eq!(study, 0xf6b5_a5f6_ad14_dee4, "pool");
+    assert_eq!(sim, 0xb3d0_f560_7b68_1a21, "pool sim export {sim:#018x}");
 }
 
 #[test]
 fn fleet_study_is_pinned() {
-    let s = fleet::run_with(&runner(), fleet::FleetParams::smoke());
-    assert_eq!(digest(&s), 0x13a7_737e_75ad_fc1a, "fleet");
+    let (study, sim) = traced(|| fleet::run_with(&runner(), fleet::FleetParams::smoke()));
+    assert_eq!(study, 0x13a7_737e_75ad_fc1a, "fleet");
+    assert_eq!(sim, 0x3005_4777_0abd_b8a6, "fleet sim export {sim:#018x}");
 }
 
 #[test]
