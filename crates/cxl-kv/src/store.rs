@@ -30,13 +30,16 @@ const GEN_BLOCK: u64 = 1024;
 /// A live YCSB stream of `left` more ops, drawn ahead in blocks.
 ///
 /// Blocks amortize the generator's per-op obs flush
-/// ([`Generator::batch`] tallies counters locally) without changing the
-/// op stream: generation order is independent of store state, so
-/// drawing ahead is observationally equivalent. The last block never
-/// draws past `left`.
+/// ([`Generator::fill`] tallies counters locally and flushes once per
+/// block) without changing the op stream: generation order is
+/// independent of store state, so drawing ahead is observationally
+/// equivalent. Every block refills one buffer, read by a cursor. The
+/// last block never draws past `left`.
 struct LiveOps {
     generator: Generator,
-    buf: VecDeque<Op>,
+    buf: Vec<Op>,
+    /// Index of the next op to hand out in `buf`.
+    next: usize,
     left: u64,
 }
 
@@ -44,7 +47,8 @@ impl LiveOps {
     fn new(workload: Workload, cfg: GeneratorConfig, ops: u64) -> Self {
         Self {
             generator: Generator::new(workload, cfg),
-            buf: VecDeque::new(),
+            buf: Vec::new(),
+            next: 0,
             left: ops,
         }
     }
@@ -54,12 +58,15 @@ impl Iterator for LiveOps {
     type Item = Op;
 
     fn next(&mut self) -> Option<Op> {
-        if self.buf.is_empty() && self.left > 0 {
+        if self.next == self.buf.len() && self.left > 0 {
             let n = self.left.min(GEN_BLOCK);
             self.left -= n;
-            self.buf.extend(self.generator.batch(n as usize));
+            self.generator.fill(&mut self.buf, n as usize);
+            self.next = 0;
         }
-        self.buf.pop_front()
+        let op = *self.buf.get(self.next)?;
+        self.next += 1;
+        Some(op)
     }
 }
 
@@ -210,6 +217,7 @@ pub struct KvStore {
     mem: PricedTier,
     cfg: KvConfig,
     /// CLOCK ring of memory-resident pages for `maxmemory` eviction.
+    /// Only a flash store evicts (`cache_in`), so only it keeps one.
     ring: VecDeque<PageId>,
     /// CLOCK reference bit per data page. The store allocates every
     /// page of its own tier manager, in data page order, and the
@@ -224,7 +232,7 @@ pub struct KvStore {
     /// Deterministic sampler for Random/LFU eviction.
     evict_rng: SmallRng,
     /// LFU access count per page, indexed like `referenced` (decayed
-    /// periodically).
+    /// periodically); empty unless the store is an LFU flash store.
     freq: Vec<u32>,
     ops_since_decay: u64,
     /// Live serving session, if a `service_request` stream is open.
@@ -259,17 +267,19 @@ impl KvStore {
         let tm = mem.tier_mut();
         let total_bytes = cfg.record_count * cfg.value_size;
         let n_pages = total_bytes.div_ceil(tm.page_size());
-        let pages = tm
-            .alloc_n(n_pages, SimTime::ZERO)
+        let first = tm
+            .alloc_dense(n_pages, SimTime::ZERO)
             .expect("dataset does not fit; enable flash or enlarge nodes");
+        debug_assert_eq!(first, PageId(0), "data page ids are dense");
         let mut ring = VecDeque::new();
-        for (i, &p) in pages.iter().enumerate() {
-            debug_assert_eq!(p, PageId(i as u64), "data page ids are dense");
-            if !tm.location(p).is_ssd() {
-                ring.push_back(p);
-            }
+        if flash {
+            let resident = |p: &PageId| !tm.location(*p).is_ssd();
+            let pages = (0..n_pages).map(PageId);
+            ring.reserve_exact(pages.clone().filter(resident).count());
+            ring.extend(pages.filter(resident));
         }
         tm.drain_epoch(); // Discard load-phase traffic.
+        let lfu = flash && cfg.eviction == EvictionPolicy::Lfu;
         let cfg_seed = cfg.seed;
         Self {
             mem,
@@ -283,7 +293,11 @@ impl KvStore {
                 use rand::SeedableRng;
                 SmallRng::seed_from_u64(cxl_stats::rng::derive_seed(cfg_seed, "evict"))
             },
-            freq: vec![0; n_pages as usize],
+            freq: if lfu {
+                vec![0; n_pages as usize]
+            } else {
+                Vec::new()
+            },
             ops_since_decay: 0,
             serve: None,
         }
@@ -400,12 +414,20 @@ impl KvStore {
                 PageId(self.page_count() as u64),
                 "data page ids are dense"
             );
-            if !self.tier().location(p).is_ssd() {
+            if self.flash && !self.tier().location(p).is_ssd() {
                 self.ring.push_back(p);
             }
             self.referenced.push(false);
-            self.freq.push(0);
+            if self.lfu() {
+                self.freq.push(0);
+            }
         }
+    }
+
+    /// True for a flash store that evicts by LFU, the one store that
+    /// keeps access counts.
+    fn lfu(&self) -> bool {
+        self.flash && self.cfg.eviction == EvictionPolicy::Lfu
     }
 
     /// Sets `page`'s CLOCK reference bit.
@@ -518,7 +540,7 @@ impl KvStore {
         let page = PageId(idx as u64);
         let outcome = self.mem.tier_mut().touch(page, rw, bytes, self.now);
         self.mark_referenced(page);
-        if self.cfg.eviction == EvictionPolicy::Lfu && self.flash {
+        if self.lfu() {
             self.freq[page.0 as usize] += 1;
             self.ops_since_decay += 1;
             // Periodic halving keeps counters adaptive (Redis LFU decay).

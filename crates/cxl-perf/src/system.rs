@@ -19,7 +19,7 @@
 //! the path idle latency plus the queueing delay of every resource on the
 //! path at its final utilization.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
 
 use serde::{Deserialize, Serialize};
 
@@ -120,6 +120,17 @@ impl FlowSpec {
             offered_gbps,
         }
     }
+
+    /// The first field that makes this flow unsolvable, if any.
+    fn invalid_field(&self) -> Option<&'static str> {
+        if !(self.offered_gbps.is_finite() && self.offered_gbps >= 0.0) {
+            Some("offered_gbps")
+        } else if !(0.0..=1.0).contains(&self.mix.read_fraction) {
+            Some("read_fraction")
+        } else {
+            None
+        }
+    }
 }
 
 /// Result for one flow.
@@ -182,11 +193,25 @@ pub enum PerfError {
     NodeOffline(NodeId),
     /// The node id is not part of this topology at all.
     UnknownNode(NodeId),
+    /// A flow of the solved set is not a flow: its `offered_gbps` is
+    /// negative or not finite, or its mix's `read_fraction` lies
+    /// outside `[0, 1]`. A zero rate is valid.
+    InvalidFlow {
+        /// Position of the flow in the solved set.
+        index: usize,
+        /// The offending field, `"offered_gbps"` or `"read_fraction"`.
+        field: &'static str,
+    },
 }
 
 impl std::fmt::Display for PerfError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            PerfError::InvalidFlow { index, field } => write!(
+                f,
+                "flow {index} has an invalid {field} (offered_gbps must be finite \
+                 and non-negative, read_fraction within [0, 1])"
+            ),
             PerfError::MissingResource(kind) => {
                 write!(f, "resource {kind:?} not present in this topology")
             }
@@ -201,54 +226,6 @@ impl std::fmt::Display for PerfError {
 }
 
 impl std::error::Error for PerfError {}
-
-/// Multiply-rotate hasher (the rustc-hash construction) for the
-/// resource-index maps that every path construction looks up. Keys are
-/// small fixed-shape ids built by the model itself, so SipHash's
-/// hash-flooding resistance buys nothing here.
-#[derive(Default)]
-struct FxHasher {
-    hash: u64,
-}
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl std::hash::Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        // The multiply concentrates entropy in the high bits while the
-        // table indexes by the low ones; fold them back down so
-        // near-identical keys don't cluster into long probe chains.
-        let h = self.hash.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^ (h >> 32)
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut word = [0u8; 8];
-            word[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-}
-
-type FxHashMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
 
 /// Does nothing. Solving is a pure function of `(system, flows)` with
 /// no process-wide state to clear; this shim remains only because the
@@ -266,23 +243,197 @@ struct Segment {
     write_share: f64,
 }
 
-#[derive(Debug)]
-struct Path {
-    segments: Vec<Segment>,
+/// Most segments one path can have: the expander's backing DDR, both
+/// link halves and the write-message pool, three UPI segments and the
+/// RSF.
+const MAX_PATH_SEGMENTS: usize = 8;
+
+/// One flow's path inside a [`Workspace`]: its segments are
+/// `segments[start..end]`.
+#[derive(Debug, Clone, Copy)]
+struct PathSpan {
+    start: usize,
+    end: usize,
     idle_ns: f64,
+}
+
+/// The water-filling's working state.
+///
+/// Each thread keeps one ([`WORKSPACE`]), and every solve clears it
+/// before it reads anything, so what one solve leaves to the next is
+/// buffer capacity, never a value.
+#[derive(Debug, Default)]
+struct Workspace {
+    /// All flows' path segments, flow after flow.
+    segments: Vec<Segment>,
+    /// Per flow, where its segments lie in `segments`.
+    paths: Vec<PathSpan>,
+    /// Per flow, the scale its offered rate is solved at.
+    scale: Vec<f64>,
+    /// Flows not yet frozen, in flow-index order.
+    active: Vec<usize>,
+    /// Per resource, the usage pinned by frozen flows.
+    frozen: Vec<f64>,
+    /// Per resource, this iteration's demand of the active flows.
+    demand: Vec<f64>,
+    /// Per resource, the final usage and its written share.
+    used: Vec<f64>,
+    write_used: Vec<f64>,
+}
+
+impl Workspace {
+    /// Empties every list and zeroes the per-flow and per-resource
+    /// arrays for a solve of `flows` flows over `resources` resources.
+    /// Reserving each list's worst case up front means that, once a
+    /// thread has solved on a system, no later solve of as many flows
+    /// there allocates.
+    fn reset(&mut self, flows: usize, resources: usize) {
+        self.segments.clear();
+        self.segments.reserve(flows * MAX_PATH_SEGMENTS);
+        self.paths.clear();
+        self.paths.reserve(flows);
+        self.active.clear();
+        self.active.reserve(flows);
+        for v in [
+            &mut self.frozen,
+            &mut self.demand,
+            &mut self.used,
+            &mut self.write_used,
+        ] {
+            v.clear();
+            v.resize(resources, 0.0);
+        }
+        self.scale.clear();
+        self.scale.resize(flows, 0.0);
+    }
+
+    fn segments(&self, flow: usize) -> &[Segment] {
+        let p = self.paths[flow];
+        &self.segments[p.start..p.end]
+    }
+}
+
+thread_local! {
+    /// This thread's solve workspace. Only [`MemSystem::with_solved`]
+    /// borrows it, for one whole solve.
+    static WORKSPACE: RefCell<Workspace> = RefCell::default();
+}
+
+/// A read-only view of a solved flow set in a [`Workspace`].
+struct Solved<'a> {
+    sys: &'a MemSystem,
+    flows: &'a [FlowSpec],
+    ws: &'a Workspace,
+}
+
+impl Solved<'_> {
+    /// Queueing delay of one path segment at its resource's final
+    /// utilization and write share, ns.
+    fn delay_ns(&self, s: &Segment) -> f64 {
+        let res = &self.sys.resources[s.res];
+        let used = self.ws.used[s.res];
+        let u = used / res.cap_gbps;
+        let wf = if used > 0.0 {
+            self.ws.write_used[s.res] / used
+        } else {
+            0.0
+        };
+        res.queue.delay_ns(u, wf)
+    }
+
+    fn outcome(&self, i: usize) -> FlowOutcome {
+        let f = &self.flows[i];
+        let achieved = f.offered_gbps * self.ws.scale[i];
+        let mut latency = self.ws.paths[i].idle_ns;
+        for s in self.ws.segments(i) {
+            latency += self.delay_ns(s);
+        }
+        FlowOutcome {
+            achieved_gbps: achieved,
+            latency_ns: latency,
+            throttled: achieved < f.offered_gbps * 0.999,
+        }
+    }
+
+    fn result(&self) -> SolveResult {
+        let used = &self.ws.used;
+        let mut utilization = Vec::with_capacity(used.iter().filter(|&&u| u > 0.0).count());
+        utilization.extend(
+            self.sys
+                .resources
+                .iter()
+                .zip(used)
+                .filter(|&(_, &u)| u > 0.0)
+                .map(|(r, &u)| (r.kind, (u / r.cap_gbps).min(1.0))),
+        );
+        SolveResult {
+            flows: (0..self.flows.len()).map(|i| self.outcome(i)).collect(),
+            utilization,
+        }
+    }
+
+    fn breakdown(&self, i: usize) -> LatencyBreakdown {
+        LatencyBreakdown {
+            idle_ns: self.ws.paths[i].idle_ns,
+            contributions: self
+                .ws
+                .segments(i)
+                .iter()
+                .map(|s| (self.sys.resources[s.res].kind, self.delay_ns(s)))
+                .collect(),
+            total_ns: self.outcome(i).latency_ns,
+        }
+    }
 }
 
 /// The solvable memory system.
 #[derive(Debug, Clone)]
 pub struct MemSystem {
     nodes: Vec<NumaNode>,
+    /// Per node, indexed like `nodes`.
+    routes: Vec<Route>,
     resources: Vec<Resource>,
-    index: FxHashMap<ResourceKind, usize>,
-    /// Per-CXL-node device parameters (controller latency, efficiencies).
-    cxl_params: FxHashMap<NodeId, CxlNodeParams>,
+    /// `upi[from][to]`, present on two-socket platforms for `from != to`.
+    upi: [[Option<Upi>; 2]; 2],
+    /// Per socket, its Remote Snoop Filter: absent on a socket without
+    /// CXL devices and on RSF-fixed platforms.
+    rsf: [Option<usize>; 2],
     sockets: Vec<SocketId>,
     /// The model parameters the resource graph was built from.
     params: ModelParams,
+}
+
+// `colocation::run_with` shares one system across runner threads; the
+// solve workspace is per thread, not a field, to keep it `Sync`.
+const _: fn() = || {
+    fn send_sync_clone<T: Send + Sync + Clone>() {}
+    send_sync_clone::<MemSystem>();
+};
+
+/// Where flows to one node go, resolved once in
+/// [`MemSystem::with_params`] so that building a path looks up nothing.
+#[derive(Debug, Clone, Copy)]
+enum Route {
+    /// A DRAM node's DDR group.
+    Dram { ddr: usize },
+    /// An online expander: its backing DDR, device-to-host and
+    /// host-to-device link halves, write-message pool, and latencies.
+    Cxl {
+        backing: usize,
+        d2h: usize,
+        h2d: usize,
+        write_msg: usize,
+        dev: CxlNodeParams,
+    },
+    /// An offline expander: no resources and no datapath.
+    Offline,
+}
+
+/// The UPI resources in one direction between the two sockets.
+#[derive(Debug, Clone, Copy)]
+struct Upi {
+    dir: usize,
+    write_credit: usize,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -308,10 +459,10 @@ impl MemSystem {
     /// nodes only while their expander is online. Built once from the
     /// topology's device health — rebuild the system after a fault.
     pub fn node_online(&self, node: NodeId) -> bool {
-        match self.nodes.get(node.0) {
-            Some(n) => n.tier != MemoryTier::CxlExpander || self.cxl_params.contains_key(&node),
-            None => false,
-        }
+        matches!(
+            self.routes.get(node.0),
+            Some(Route::Dram { .. } | Route::Cxl { .. })
+        )
     }
 
     /// Builds the resource graph from an explicit parameter set: the
@@ -332,18 +483,13 @@ impl MemSystem {
         );
         let nodes = topo.nodes();
         let mut resources = Vec::new();
-        let mut index = FxHashMap::default();
-        let mut cxl_params = FxHashMap::default();
-
         let mut add = |kind: ResourceKind, cap: f64, queue: QueueModel| {
-            let id = resources.len();
             resources.push(Resource {
                 kind,
                 cap_gbps: cap,
                 queue,
             });
-            index.insert(kind, id);
-            id
+            resources.len() - 1
         };
 
         let ddr_queue = QueueModel {
@@ -357,70 +503,82 @@ impl MemSystem {
         let upi_queue = QueueModel::fixed(p.upi_knee, p.upi_queue_scale_ns, p.ddr_linear_ns * 0.5);
         let rsf_queue = QueueModel::fixed(p.rsf_knee, p.rsf_queue_scale_ns, p.ddr_linear_ns);
 
+        let mut routes = Vec::with_capacity(nodes.len());
         for n in &nodes {
-            match n.tier {
+            let route = match n.tier {
                 MemoryTier::LocalDram => {
                     let cap = n.peak_bandwidth_gbps() * p.ddr_read_efficiency;
-                    add(ResourceKind::DdrGroup(n.id), cap, ddr_queue);
+                    Route::Dram {
+                        ddr: add(ResourceKind::DdrGroup(n.id), cap, ddr_queue),
+                    }
                 }
                 MemoryTier::CxlExpander => {
                     let dev = &topo.sockets[n.socket.0].cxl_devices
                         [n.device_index.expect("CXL node must carry a device index")];
-                    if !dev.health.online {
+                    if dev.health.online {
+                        let backing = dev.backing_bandwidth_gbps()
+                            * p.ddr_read_efficiency
+                            * p.cxl_backing_efficiency;
+                        let link = dev.effective_link_bandwidth_gbps();
+                        let backing = add(ResourceKind::CxlBacking(n.id), backing, ddr_queue);
+                        let d2h = add(ResourceKind::CxlLinkD2h(n.id), link, link_queue);
+                        let h2d = add(ResourceKind::CxlLinkH2d(n.id), link, link_queue);
+                        let write_msg = add(
+                            ResourceKind::CxlWriteMsg(n.id),
+                            link * p.cxl_write_msg_fraction,
+                            link_queue,
+                        );
+                        Route::Cxl {
+                            backing,
+                            d2h,
+                            h2d,
+                            write_msg,
+                            dev: CxlNodeParams {
+                                controller_latency_ns: dev.effective_controller_latency_ns()
+                                    * p.controller_latency_scale,
+                                switch_hop_ns: dev.switch_hop_ns * p.switch_hop_scale,
+                            },
+                        }
+                    } else {
                         // An offline expander contributes no resources
                         // and no latency parameters; flows addressed to
                         // its (still-enumerated) node fail with
                         // [`PerfError::NodeOffline`].
-                        continue;
+                        Route::Offline
                     }
-                    let backing = dev.backing_bandwidth_gbps()
-                        * p.ddr_read_efficiency
-                        * p.cxl_backing_efficiency;
-                    let link = dev.effective_link_bandwidth_gbps();
-                    add(ResourceKind::CxlBacking(n.id), backing, ddr_queue);
-                    add(ResourceKind::CxlLinkD2h(n.id), link, link_queue);
-                    add(ResourceKind::CxlLinkH2d(n.id), link, link_queue);
-                    add(
-                        ResourceKind::CxlWriteMsg(n.id),
-                        link * p.cxl_write_msg_fraction,
-                        link_queue,
-                    );
-                    cxl_params.insert(
-                        n.id,
-                        CxlNodeParams {
-                            controller_latency_ns: dev.effective_controller_latency_ns()
-                                * p.controller_latency_scale,
-                            switch_hop_ns: dev.switch_hop_ns * p.switch_hop_scale,
-                        },
-                    );
                 }
-            }
+            };
+            routes.push(route);
         }
 
         let sockets: Vec<SocketId> = topo.sockets.iter().map(|s| s.id).collect();
+        let mut upi = [[None; 2]; 2];
+        let mut rsf = [None; 2];
         if topo.sockets.len() == 2 {
             let upi_dir_bw: f64 = topo.upi.iter().map(|u| u.bandwidth_gbps).sum();
             let (a, b) = (sockets[0], sockets[1]);
             for (from, to) in [(a, b), (b, a)] {
-                add(ResourceKind::UpiDir(from, to), upi_dir_bw, upi_queue);
-                add(
+                let dir = add(ResourceKind::UpiDir(from, to), upi_dir_bw, upi_queue);
+                let write_credit = add(
                     ResourceKind::UpiWriteCredit(from, to),
                     p.upi_write_credit_gbps,
                     upi_queue,
                 );
+                upi[from.0][to.0] = Some(Upi { dir, write_credit });
             }
             for s in [a, b] {
                 if !topo.sockets[s.0].cxl_devices.is_empty() && p.rsf_cap_gbps.is_finite() {
-                    add(ResourceKind::Rsf(s), p.rsf_cap_gbps, rsf_queue);
+                    rsf[s.0] = Some(add(ResourceKind::Rsf(s), p.rsf_cap_gbps, rsf_queue));
                 }
             }
         }
 
         Self {
             nodes,
+            routes,
             resources,
-            index,
-            cxl_params,
+            upi,
+            rsf,
             sockets,
             params: p,
         }
@@ -451,64 +609,68 @@ impl MemSystem {
         }
     }
 
-    fn res(&self, kind: ResourceKind) -> Result<usize, PerfError> {
-        self.index
-            .get(&kind)
-            .copied()
-            .ok_or(PerfError::MissingResource(kind))
+    /// The UPI resources from socket `from` to socket `to`.
+    fn upi(&self, from: SocketId, to: SocketId) -> Result<Upi, PerfError> {
+        self.upi
+            .get(from.0)
+            .and_then(|row| row.get(to.0).copied().flatten())
+            .ok_or(PerfError::MissingResource(ResourceKind::UpiDir(from, to)))
     }
 
-    fn path(&self, from: SocketId, node: NodeId, mix: AccessMix) -> Result<Path, PerfError> {
-        let n = self
-            .nodes
-            .get(node.0)
-            .ok_or(PerfError::UnknownNode(node))?
-            .clone();
-        if n.tier == MemoryTier::CxlExpander && !self.cxl_params.contains_key(&node) {
-            // Distinguish "this expander died" from a structurally
-            // missing resource before any segment lookup conflates them.
-            return Err(PerfError::NodeOffline(node));
-        }
+    /// Appends the path of a flow from `from` to `node` to `segments`
+    /// and returns its idle latency, ns.
+    fn push_path(
+        &self,
+        segments: &mut Vec<Segment>,
+        from: SocketId,
+        node: NodeId,
+        mix: AccessMix,
+    ) -> Result<f64, PerfError> {
+        let n = self.nodes.get(node.0).ok_or(PerfError::UnknownNode(node))?;
         let r = mix.read_fraction;
         let w = mix.write_fraction();
         let wf = self.params.write_cost_factor();
-        let mut segments = Vec::new();
 
         let ddr_coef = r + w * wf;
-        match n.tier {
-            MemoryTier::LocalDram => {
+        let ddr_write_share = w * wf / ddr_coef.max(1e-12);
+        match self.routes[node.0] {
+            Route::Dram { ddr } => {
                 segments.push(Segment {
-                    res: self.res(ResourceKind::DdrGroup(node))?,
+                    res: ddr,
                     coef: ddr_coef,
-                    write_share: w * wf / ddr_coef.max(1e-12),
+                    write_share: ddr_write_share,
                 });
             }
-            MemoryTier::CxlExpander => {
+            Route::Cxl {
+                backing,
+                d2h,
+                h2d,
+                write_msg,
+                ..
+            } => {
                 segments.push(Segment {
-                    res: self.res(ResourceKind::CxlBacking(node))?,
+                    res: backing,
                     coef: ddr_coef,
-                    write_share: w * wf / ddr_coef.max(1e-12),
+                    write_share: ddr_write_share,
                 });
                 if r > 0.0 {
                     segments.push(Segment {
-                        res: self.res(ResourceKind::CxlLinkD2h(node))?,
+                        res: d2h,
                         coef: r,
                         write_share: 0.0,
                     });
                 }
                 if w > 0.0 {
-                    segments.push(Segment {
-                        res: self.res(ResourceKind::CxlLinkH2d(node))?,
-                        coef: w,
-                        write_share: 1.0,
-                    });
-                    segments.push(Segment {
-                        res: self.res(ResourceKind::CxlWriteMsg(node))?,
-                        coef: w,
-                        write_share: 1.0,
-                    });
+                    for res in [h2d, write_msg] {
+                        segments.push(Segment {
+                            res,
+                            coef: w,
+                            write_share: 1.0,
+                        });
+                    }
                 }
             }
+            Route::Offline => return Err(PerfError::NodeOffline(node)),
         }
 
         let remote = n.socket != from;
@@ -521,38 +683,36 @@ impl MemSystem {
             let out = w * (1.0 + coh); // Accessor -> memory socket.
             let back = r + w * coh; // Memory socket -> accessor.
             if out > 0.0 {
+                let upi = self.upi(from, n.socket)?;
                 segments.push(Segment {
-                    res: self.res(ResourceKind::UpiDir(from, n.socket))?,
+                    res: upi.dir,
                     coef: out,
                     write_share: 1.0,
                 });
                 segments.push(Segment {
-                    res: self.res(ResourceKind::UpiWriteCredit(from, n.socket))?,
+                    res: upi.write_credit,
                     coef: w,
                     write_share: 1.0,
                 });
             }
             if back > 0.0 {
                 segments.push(Segment {
-                    res: self.res(ResourceKind::UpiDir(n.socket, from))?,
+                    res: self.upi(n.socket, from)?.dir,
                     coef: back,
                     write_share: (w * coh) / back.max(1e-12),
                 });
             }
-            if n.tier == MemoryTier::CxlExpander {
-                // Absent on RSF-fixed platform projections (§3.4).
-                if let Some(&res) = self.index.get(&ResourceKind::Rsf(n.socket)) {
-                    segments.push(Segment {
-                        res,
-                        coef: 1.0,
-                        write_share: w,
-                    });
-                }
+            // The RSF is absent on RSF-fixed platform projections (§3.4).
+            if let (Route::Cxl { .. }, Some(res)) = (self.routes[node.0], self.rsf[n.socket.0]) {
+                segments.push(Segment {
+                    res,
+                    coef: 1.0,
+                    write_share: w,
+                });
             }
         }
 
-        let idle_ns = self.try_idle_latency_ns(from, node, mix)?;
-        Ok(Path { segments, idle_ns })
+        self.try_idle_latency_ns(from, node, mix)
     }
 
     /// Idle (unloaded) average access latency for a mix, ns.
@@ -600,10 +760,9 @@ impl MemSystem {
                 (read, write)
             }
             MemoryTier::CxlExpander => {
-                let params = self
-                    .cxl_params
-                    .get(&node)
-                    .ok_or(PerfError::NodeOffline(node))?;
+                let Route::Cxl { dev: params, .. } = self.routes[node.0] else {
+                    return Err(PerfError::NodeOffline(node));
+                };
                 let base = self.params.mmem_read_idle_ns
                     + params.controller_latency_ns
                     + params.switch_hop_ns;
@@ -629,37 +788,78 @@ impl MemSystem {
     /// The result is a pure function of the system and the ordered flow
     /// set: nothing is cached between calls, so repeated operating
     /// points solve again and parallel runs see exactly what serial
-    /// runs see.
+    /// runs see. Each thread reuses one workspace's buffers from solve
+    /// to solve, but never a value in them.
     ///
     /// # Panics
     ///
-    /// Panics when a flow targets an unknown or offline node; use
-    /// [`MemSystem::try_solve`] when faults may be in play.
+    /// Panics with the [`PerfError`] that [`MemSystem::try_solve`]
+    /// returns: a flow that targets an unknown or offline node, or a
+    /// [`PerfError::InvalidFlow`]. Use `try_solve` when faults may be in
+    /// play.
     pub fn solve(&self, flows: &[FlowSpec]) -> SolveResult {
         self.try_solve(flows).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible twin of [`MemSystem::solve`]: a flow addressed to an
-    /// offline expander (or an unknown node) comes back as a
-    /// [`PerfError`] instead of a panic, before any water-filling runs.
+    /// Fallible twin of [`MemSystem::solve`]. Before any water-filling
+    /// runs, it returns
+    ///
+    /// * [`PerfError::InvalidFlow`], naming the first flow whose
+    ///   `offered_gbps` is negative or not finite or whose mix's
+    ///   `read_fraction` lies outside `[0, 1]`, before any path is
+    ///   built (a zero rate is valid);
+    /// * [`PerfError::NodeOffline`] or [`PerfError::UnknownNode`] for a
+    ///   flow addressed to an offline expander or an unknown node, and
+    ///   [`PerfError::MissingResource`] for a path the topology lacks.
     pub fn try_solve(&self, flows: &[FlowSpec]) -> Result<SolveResult, PerfError> {
-        Ok(self.solve_internal(flows)?.0)
+        self.with_solved(flows, |s| s.result())
     }
 
-    #[allow(clippy::type_complexity)] // Internal plumbing shared by solve/breakdown.
-    fn solve_internal(
+    /// Solves `flows` in this thread's [`WORKSPACE`] and hands `read` a
+    /// view of the solved state. The only place that borrows the
+    /// workspace; no `read` passed here solves again.
+    fn with_solved<R>(
         &self,
         flows: &[FlowSpec],
-    ) -> Result<(SolveResult, Vec<f64>, Vec<f64>, Vec<Path>), PerfError> {
-        let paths: Vec<Path> = flows
-            .iter()
-            .map(|f| self.path(f.from, f.node, f.mix))
-            .collect::<Result<_, _>>()?;
-        let (result, used, write_used) = self.solve_with_paths(flows, &paths);
-        Ok((result, used, write_used, paths))
+        read: impl FnOnce(&Solved<'_>) -> R,
+    ) -> Result<R, PerfError> {
+        WORKSPACE.with(|ws| self.solve_in(&mut ws.borrow_mut(), flows, read))
     }
 
-    /// The water-filling core, over already-constructed paths.
+    /// [`MemSystem::with_solved`] in a given workspace.
+    fn solve_in<R>(
+        &self,
+        ws: &mut Workspace,
+        flows: &[FlowSpec],
+        read: impl FnOnce(&Solved<'_>) -> R,
+    ) -> Result<R, PerfError> {
+        if let Some((index, field)) = flows
+            .iter()
+            .enumerate()
+            .find_map(|(i, f)| f.invalid_field().map(|field| (i, field)))
+        {
+            return Err(PerfError::InvalidFlow { index, field });
+        }
+        ws.reset(flows.len(), self.resources.len());
+        for f in flows {
+            let start = ws.segments.len();
+            let idle_ns = self.push_path(&mut ws.segments, f.from, f.node, f.mix)?;
+            let end = ws.segments.len();
+            ws.paths.push(PathSpan {
+                start,
+                end,
+                idle_ns,
+            });
+        }
+        self.water_fill(ws, flows);
+        Ok(read(&Solved {
+            sys: self,
+            flows,
+            ws,
+        }))
+    }
+
+    /// The water-filling core, over the paths already in `ws`.
     ///
     /// The solver computes, per iteration, the *absolute* scale at
     /// which each resource saturates — `σ_res = (cap − frozen) /
@@ -676,39 +876,38 @@ impl MemSystem {
     /// Per-resource demands are accumulated in one pass over the active
     /// flows (flow order, segments in path order) rather than one scan
     /// per resource: `O(active × segments + resources)` per iteration.
-    fn solve_with_paths(
-        &self,
-        flows: &[FlowSpec],
-        paths: &[Path],
-    ) -> (SolveResult, Vec<f64>, Vec<f64>) {
-        let nres = self.resources.len();
-        let mut frozen = vec![0.0f64; nres]; // Usage pinned by frozen flows.
-        let mut scale = vec![0.0f64; flows.len()];
-        let mut active: Vec<usize> = (0..flows.len())
-            .filter(|&i| flows[i].offered_gbps > 0.0)
-            .collect();
+    fn water_fill(&self, ws: &mut Workspace, flows: &[FlowSpec]) {
+        let Workspace {
+            segments,
+            paths,
+            scale,
+            active,
+            frozen,
+            demand,
+            used,
+            write_used,
+        } = ws;
+        let path = |i: usize| &segments[paths[i].start..paths[i].end];
+        let crosses = |i: usize, res: usize| path(i).iter().any(|s| s.res == res);
+        active.extend((0..flows.len()).filter(|&i| flows[i].offered_gbps > 0.0));
 
-        let crosses = |i: usize, res: usize| paths[i].segments.iter().any(|s| s.res == res);
-
-        let mut demand = vec![0.0f64; nres];
         let mut iterations = 0u64;
         while !active.is_empty() {
             iterations += 1;
             demand.iter_mut().for_each(|d| *d = 0.0);
-            for &i in &active {
-                for s in &paths[i].segments {
+            for &i in active.iter() {
+                for s in path(i) {
                     demand[s.res] += flows[i].offered_gbps * s.coef;
                 }
             }
             // Saturation scale per resource; the binding one is the min.
             let mut sigma_star = 1.0f64;
             let mut binding: Option<usize> = None;
-            #[allow(clippy::needless_range_loop)] // Parallel arrays; index is the id.
-            for res in 0..nres {
+            for (res, r) in self.resources.iter().enumerate() {
                 if demand[res] <= 0.0 {
                     continue;
                 }
-                let sigma = (self.resources[res].cap_gbps - frozen[res]).max(0.0) / demand[res];
+                let sigma = (r.cap_gbps - frozen[res]).max(0.0) / demand[res];
                 if sigma < sigma_star {
                     sigma_star = sigma;
                     binding = Some(res);
@@ -719,7 +918,7 @@ impl MemSystem {
                 None => {
                     // No resource binds below 1.0: everyone left
                     // reaches their offered rate.
-                    for &i in &active {
+                    for &i in active.iter() {
                         scale[i] = 1.0;
                     }
                     break;
@@ -727,10 +926,10 @@ impl MemSystem {
                 Some(res) => {
                     // Freeze flows crossing the binding resource at σ*,
                     // pinning their usage (flow-index order).
-                    for &i in &active {
+                    for &i in active.iter() {
                         if crosses(i, res) {
                             scale[i] = sigma_star;
-                            for s in &paths[i].segments {
+                            for s in path(i) {
                                 frozen[s.res] += flows[i].offered_gbps * sigma_star * s.coef;
                             }
                         }
@@ -743,10 +942,8 @@ impl MemSystem {
         // Final usage: one pass over all flows in index order (again
         // partition-invariant — a resource only ever sees its own
         // component's flows).
-        let mut used = vec![0.0f64; nres];
-        let mut write_used = vec![0.0f64; nres];
         for (i, f) in flows.iter().enumerate() {
-            for s in &paths[i].segments {
+            for s in path(i) {
                 let add = f.offered_gbps * scale[i] * s.coef;
                 used[s.res] += add;
                 write_used[s.res] += add * s.write_share;
@@ -757,48 +954,6 @@ impl MemSystem {
         // section whose key set the goldens pin.
         cxl_obs::wall_counter_add("perf/solves", 1);
         cxl_obs::wall_counter_add("perf/solver_iterations", iterations);
-
-        // Compute utilization and per-flow latency.
-        let utilization: Vec<(ResourceKind, f64)> = self
-            .resources
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| used[*i] > 0.0)
-            .map(|(i, r)| (r.kind, (used[i] / r.cap_gbps).min(1.0)))
-            .collect();
-
-        let outcomes = flows
-            .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                let achieved = f.offered_gbps * scale[i];
-                let mut latency = paths[i].idle_ns;
-                for s in &paths[i].segments {
-                    let res = &self.resources[s.res];
-                    let u = used[s.res] / res.cap_gbps;
-                    let wf = if used[s.res] > 0.0 {
-                        write_used[s.res] / used[s.res]
-                    } else {
-                        0.0
-                    };
-                    latency += res.queue.delay_ns(u, wf);
-                }
-                FlowOutcome {
-                    achieved_gbps: achieved,
-                    latency_ns: latency,
-                    throttled: achieved < f.offered_gbps * 0.999,
-                }
-            })
-            .collect();
-
-        (
-            SolveResult {
-                flows: outcomes,
-                utilization,
-            },
-            used,
-            write_used,
-        )
     }
 
     /// Per-resource latency contributions of one flow at the solved
@@ -811,32 +966,24 @@ impl MemSystem {
     ///
     /// # Panics
     ///
-    /// Panics if `index` is out of range.
+    /// Panics if `index` is out of range, or as [`MemSystem::solve`]
+    /// does.
     pub fn latency_breakdown(&self, flows: &[FlowSpec], index: usize) -> LatencyBreakdown {
         assert!(index < flows.len(), "flow index out of range");
-        let (result, used, write_used, paths) =
-            self.solve_internal(flows).unwrap_or_else(|e| panic!("{e}"));
-        let mut contributions = Vec::new();
-        for seg in &paths[index].segments {
-            let res = &self.resources[seg.res];
-            let u = used[seg.res] / res.cap_gbps;
-            let wf = if used[seg.res] > 0.0 {
-                write_used[seg.res] / used[seg.res]
-            } else {
-                0.0
-            };
-            contributions.push((res.kind, res.queue.delay_ns(u, wf)));
-        }
-        LatencyBreakdown {
-            idle_ns: paths[index].idle_ns,
-            contributions,
-            total_ns: result.flows[index].latency_ns,
-        }
+        self.with_solved(flows, |s| s.breakdown(index))
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Loaded latency and achieved bandwidth for a single flow.
+    /// Loaded latency and achieved bandwidth for a single flow: the
+    /// outcome [`MemSystem::solve`] gives for `[flow]`, read without
+    /// building a [`SolveResult`].
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`MemSystem::solve`] does.
     pub fn loaded_point(&self, flow: FlowSpec) -> FlowOutcome {
-        self.solve(std::slice::from_ref(&flow)).flows[0]
+        self.with_solved(std::slice::from_ref(&flow), |s| s.outcome(0))
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Peak achievable bandwidth for a single flow, GB/s.
@@ -855,6 +1002,7 @@ impl MemSystem {
 mod tests {
     use super::*;
     use cxl_topology::{SncMode, Topology};
+    use proptest::prelude::*;
 
     fn sys() -> MemSystem {
         MemSystem::new(&Topology::paper_testbed(SncMode::Snc4))
@@ -1317,16 +1465,12 @@ mod tests {
             .collect()
     }
 
-    /// Asserts a solve of `flows` reproduces the pinned bits: per flow
-    /// `(achieved_gbps, latency_ns, throttled)`, then every used
-    /// resource's utilization in emission order.
-    fn assert_pinned(
-        flows: &[FlowSpec],
-        want_flows: &[(u64, u64, bool)],
-        want_util: &[(ResourceKind, u64)],
-    ) {
-        let r = sys().try_solve(flows).unwrap();
-        let got_flows: Vec<_> = r
+    /// A solve's outputs as bits: per flow `(achieved_gbps, latency_ns,
+    /// throttled)`, then every used resource's utilization in emission
+    /// order.
+    #[allow(clippy::type_complexity)]
+    fn bits(r: &SolveResult) -> (Vec<(u64, u64, bool)>, Vec<(ResourceKind, u64)>) {
+        let flows = r
             .flows
             .iter()
             .map(|o| {
@@ -1337,12 +1481,23 @@ mod tests {
                 )
             })
             .collect();
-        assert_eq!(got_flows, want_flows, "flow outcomes drifted");
-        let got_util: Vec<_> = r
+        let util = r
             .utilization
             .iter()
             .map(|&(k, u)| (k, u.to_bits()))
             .collect();
+        (flows, util)
+    }
+
+    /// Asserts a solve of `flows` reproduces the pinned bits (see
+    /// [`bits`]).
+    fn assert_pinned(
+        flows: &[FlowSpec],
+        want_flows: &[(u64, u64, bool)],
+        want_util: &[(ResourceKind, u64)],
+    ) {
+        let (got_flows, got_util) = bits(&sys().try_solve(flows).unwrap());
+        assert_eq!(got_flows, want_flows, "flow outcomes drifted");
         assert_eq!(got_util, want_util, "utilization drifted");
     }
 
@@ -1425,7 +1580,270 @@ mod tests {
         let flow = [FlowSpec::new(s0(), dram0(), AccessMix::read_only(), 10.0)];
         m.solve(&flow);
         m.solve(&flow);
-        assert_eq!(reg.counter("perf/solves"), Some(2));
+        m.loaded_point(flow[0]);
+        m.loaded_point(flow[0]);
+        m.latency_breakdown(&flow, 0);
+        assert_eq!(reg.counter("perf/solves"), Some(5));
+    }
+
+    /// A valid 10 GB/s read flow to node 0 beside `bad`.
+    fn beside_a_valid_flow(bad: FlowSpec) -> Result<SolveResult, PerfError> {
+        let ok = FlowSpec::new(s0(), dram0(), AccessMix::read_only(), 10.0);
+        sys().try_solve(&[ok, bad])
+    }
+
+    fn read_flow(offered_gbps: f64) -> FlowSpec {
+        FlowSpec::new(s0(), dram0(), AccessMix::read_only(), offered_gbps)
+    }
+
+    fn invalid(index: usize, field: &'static str) -> Result<SolveResult, PerfError> {
+        Err(PerfError::InvalidFlow { index, field })
+    }
+
+    #[test]
+    fn infinite_rate_is_an_invalid_flow() {
+        // Solved, it made the flow NaN, its neighbour 0 GB/s at NaN
+        // latency, and the utilization list empty.
+        let r = beside_a_valid_flow(read_flow(f64::INFINITY));
+        assert_eq!(
+            r.map(|r| bits(&r)),
+            invalid(1, "offered_gbps").map(|r| bits(&r))
+        );
+    }
+
+    #[test]
+    fn nan_rate_is_an_invalid_flow() {
+        // Solved, it gave a NaN outcome and NaN latency to its neighbour.
+        let r = beside_a_valid_flow(read_flow(f64::NAN));
+        assert_eq!(
+            r.map(|r| bits(&r)),
+            invalid(1, "offered_gbps").map(|r| bits(&r))
+        );
+    }
+
+    #[test]
+    fn negative_rate_is_an_invalid_flow() {
+        // Solved, it came back as -0.0 GB/s.
+        let r = beside_a_valid_flow(read_flow(-5.0));
+        assert_eq!(
+            r.map(|r| bits(&r)),
+            invalid(1, "offered_gbps").map(|r| bits(&r))
+        );
+    }
+
+    #[test]
+    fn read_fraction_outside_zero_to_one_is_an_invalid_flow() {
+        // A struct literal skips `AccessMix::from_read_fraction`'s check;
+        // a NaN fraction solved to NaN latency.
+        for read_fraction in [f64::NAN, -0.25, 1.5] {
+            let mix = AccessMix {
+                read_fraction,
+                ..AccessMix::read_only()
+            };
+            let r = beside_a_valid_flow(FlowSpec::new(s0(), dram0(), mix, 10.0));
+            assert_eq!(
+                r.map(|r| bits(&r)),
+                invalid(1, "read_fraction").map(|r| bits(&r)),
+                "read fraction {read_fraction}"
+            );
+        }
+    }
+
+    #[test]
+    fn invalid_flows_are_rejected_before_any_path_is_built() {
+        // Flow 0 names an unknown node, but flow 1's rate is checked first.
+        let unknown = FlowSpec::new(s0(), NodeId(99), AccessMix::read_only(), 1.0);
+        let r = sys().try_solve(&[unknown, read_flow(f64::NAN)]);
+        assert_eq!(
+            r.map(|r| bits(&r)),
+            invalid(1, "offered_gbps").map(|r| bits(&r))
+        );
+    }
+
+    #[test]
+    fn zero_rates_stay_valid() {
+        for zero in [0.0, -0.0] {
+            let r = beside_a_valid_flow(read_flow(zero)).expect("a zero rate solves");
+            assert_eq!(r.flows[1].achieved_gbps, 0.0);
+            assert!((r.flows[0].achieved_gbps - 10.0).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "flow 1 has an invalid offered_gbps")]
+    fn solve_panics_on_an_invalid_flow() {
+        sys().solve(&[read_flow(1.0), read_flow(f64::INFINITY)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "flow 0 has an invalid offered_gbps")]
+    fn loaded_point_panics_on_an_invalid_flow() {
+        sys().loaded_point(read_flow(-5.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "flow 0 has an invalid read_fraction")]
+    fn latency_breakdown_panics_on_an_invalid_flow() {
+        let mix = AccessMix {
+            read_fraction: f64::NAN,
+            ..AccessMix::read_only()
+        };
+        sys().latency_breakdown(&[FlowSpec::new(s0(), dram0(), mix, 1.0)], 0);
+    }
+
+    /// The systems the workspace tests draw from: the paper testbed in
+    /// each SNC mode, a single socket, an offline expander, and the
+    /// RSF-fixed projection.
+    fn drawn_system(kind: usize) -> MemSystem {
+        let testbed = Topology::paper_testbed;
+        match kind {
+            0 => MemSystem::new(&testbed(SncMode::Snc4)),
+            1 => MemSystem::new(&testbed(SncMode::Disabled)),
+            2 => MemSystem::new(&Topology::snc_domain_with_cxl()),
+            3 => {
+                let mut topo = testbed(SncMode::Disabled);
+                topo.cxl_device_mut(NodeId(2))
+                    .expect("expander")
+                    .health
+                    .online = false;
+                MemSystem::new(&topo)
+            }
+            _ => MemSystem::with_params(&testbed(SncMode::Snc4), &ModelParams::rsf_fixed()),
+        }
+    }
+
+    /// One drawn flow: socket and node picks; a `read:write` ratio and
+    /// whether writes are regular; a rate kind and a rate.
+    type FlowDraw = ((usize, usize), (u32, u32, bool), (usize, f64));
+
+    fn flow_draw() -> impl Strategy<Value = FlowDraw> {
+        (
+            (0usize..2, 0usize..16),
+            (0u32..4, 0u32..4, any::<bool>()),
+            (0usize..4, 0.0f64..80.0),
+        )
+    }
+
+    /// The flows `draws` name on `sys`, each from one of its sockets to
+    /// one of its online nodes, at a zero, a saturating or a drawn rate.
+    fn drawn_flows(sys: &MemSystem, draws: &[FlowDraw]) -> Vec<FlowSpec> {
+        let online: Vec<NodeId> = sys
+            .nodes()
+            .iter()
+            .map(|n| n.id)
+            .filter(|&n| sys.node_online(n))
+            .collect();
+        let sockets = sys.sockets();
+        draws
+            .iter()
+            .map(|&((s, n), (r, w, regular), (rate_kind, rate))| {
+                let mut mix = AccessMix::ratio(r.max(u32::from(r + w == 0)), w);
+                if regular {
+                    mix = mix.with_regular_writes();
+                }
+                let offered = match rate_kind {
+                    0 => 0.0,
+                    1 => 10_000.0,
+                    _ => rate,
+                };
+                FlowSpec::new(
+                    sockets[s % sockets.len()],
+                    online[n % online.len()],
+                    mix,
+                    offered,
+                )
+            })
+            .collect()
+    }
+
+    #[allow(clippy::type_complexity)]
+    fn breakdown_bits(b: &LatencyBreakdown) -> (u64, Vec<(ResourceKind, u64)>, u64) {
+        let contributions = b
+            .contributions
+            .iter()
+            .map(|&(k, d)| (k, d.to_bits()))
+            .collect();
+        (b.idle_ns.to_bits(), contributions, b.total_ns.to_bits())
+    }
+
+    proptest! {
+        /// A solve after any run of earlier solves (other systems,
+        /// larger sets, sets that fail partway through their paths)
+        /// equals, to the bit, the same solve in a fresh workspace.
+        #[test]
+        fn a_solve_reads_nothing_earlier_solves_left(
+            kind in 0usize..5,
+            draws in prop::collection::vec(flow_draw(), 1..=12),
+            pick in 0usize..12,
+            earlier in prop::collection::vec(
+                (0usize..5, prop::collection::vec(flow_draw(), 1..=24), 0usize..4),
+                0..6,
+            ),
+        ) {
+            let run_earlier = || {
+                for (kind, draws, poison) in &earlier {
+                    let sys = drawn_system(*kind);
+                    let mut set = drawn_flows(&sys, draws);
+                    let last = set.len() - 1;
+                    match poison {
+                        2 => set[last].offered_gbps = f64::NAN,
+                        3 => set[last].node = NodeId(99),
+                        _ => {}
+                    }
+                    let _ = sys.try_solve(&set);
+                }
+            };
+            let sys = drawn_system(kind);
+            let flows = drawn_flows(&sys, &draws);
+            let index = pick % flows.len();
+
+            run_earlier();
+            let warm_breakdown = sys.latency_breakdown(&flows, index);
+            run_earlier();
+            let warm = sys.try_solve(&flows).unwrap();
+
+            let fresh = sys
+                .solve_in(&mut Workspace::default(), &flows, |s| s.result())
+                .unwrap();
+            let fresh_breakdown = sys
+                .solve_in(&mut Workspace::default(), &flows, |s| s.breakdown(index))
+                .unwrap();
+            prop_assert_eq!(bits(&warm), bits(&fresh));
+            prop_assert_eq!(
+                breakdown_bits(&warm_breakdown),
+                breakdown_bits(&fresh_breakdown)
+            );
+        }
+    }
+
+    #[test]
+    fn loaded_point_is_the_single_flow_solve_to_the_bit() {
+        let mixes = [
+            AccessMix::read_only(),
+            AccessMix::write_only(),
+            AccessMix::ratio(2, 1),
+            AccessMix::ratio(1, 1).with_regular_writes(),
+        ];
+        for kind in 0..5 {
+            let m = drawn_system(kind);
+            for &from in m.sockets() {
+                for node in m.nodes().iter().map(|n| n.id).filter(|&n| m.node_online(n)) {
+                    for mix in mixes {
+                        for offered in [0.0, 7.5, 40.0, 10_000.0] {
+                            let f = FlowSpec::new(from, node, mix, offered);
+                            let point = m.loaded_point(f);
+                            let solved = m.solve(&[f]).flows[0];
+                            assert_eq!(
+                                (point.achieved_gbps.to_bits(), point.latency_ns.to_bits()),
+                                (solved.achieved_gbps.to_bits(), solved.latency_ns.to_bits()),
+                                "{f:?}"
+                            );
+                            assert_eq!(point.throttled, solved.throttled);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -269,16 +269,23 @@ impl Generator {
     /// op, which removes the dominant constant from live op generation
     /// (the `KvStore` run loops and serving sessions draw through it).
     pub fn batch(&mut self, n: usize) -> Vec<Op> {
-        let mut tally = [0u64; 5];
-        let ops = (0..n)
-            .map(|_| {
-                let op = self.draw_op();
-                tally[op.kind()] += 1;
-                op
-            })
-            .collect();
-        flush_tally(&tally);
+        let mut ops = Vec::with_capacity(n);
+        self.fill(&mut ops, n);
         ops
+    }
+
+    /// [`Generator::batch`] into a caller's buffer: replaces `buf`'s
+    /// contents with the next `n` ops, so a reused buffer draws block
+    /// after block without allocating.
+    pub fn fill(&mut self, buf: &mut Vec<Op>, n: usize) {
+        let mut tally = [0u64; 5];
+        buf.clear();
+        buf.extend((0..n).map(|_| {
+            let op = self.draw_op();
+            tally[op.kind()] += 1;
+            op
+        }));
+        flush_tally(&tally);
     }
 }
 
