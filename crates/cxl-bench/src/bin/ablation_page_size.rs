@@ -8,7 +8,7 @@
 
 use cxl_bench::emit;
 use cxl_core::config::hot_promote_params;
-use cxl_kv::{KvConfig, KvStore};
+use cxl_kv::{KvConfig, KvStore, VALUE_SIZE};
 use cxl_stats::report::Table;
 use cxl_tier::{AllocPolicy, MigrationMode, TierConfig};
 use cxl_topology::{MemoryTier, SncMode, Topology};
@@ -31,7 +31,7 @@ fn run_hot_promote(page_size: u64) -> (f64, u64) {
         record_count: 200_000,
         ..Default::default()
     };
-    let dataset = kv.record_count * kv.value_size;
+    let dataset = kv.record_count * VALUE_SIZE;
     let mut tier = TierConfig::bind(vec![dram]);
     tier.page_size = page_size;
     tier.policy = AllocPolicy::interleave(vec![dram], vec![cxl], 1, 1);

@@ -8,7 +8,7 @@
 //! throughput, promotions, and migration volume.
 
 use cxl_bench::emit;
-use cxl_kv::{KvConfig, KvStore};
+use cxl_kv::{KvConfig, KvStore, VALUE_SIZE};
 use cxl_sim::SimTime;
 use cxl_stats::report::Table;
 use cxl_tier::{AllocPolicy, HotPageConfig, MigrationMode, NumaBalancingConfig, TierConfig};
@@ -32,7 +32,7 @@ fn run_at_limit(limit_bytes_per_sec: f64) -> (f64, u64, u64) {
         record_count: 100_000,
         ..Default::default()
     };
-    let dataset = kv.record_count * kv.value_size;
+    let dataset = kv.record_count * VALUE_SIZE;
     let mut tier = TierConfig::bind(vec![dram]);
     tier.policy = AllocPolicy::interleave(vec![dram], vec![cxl], 1, 1);
     tier.capacity_override = vec![(dram, dataset / 2)];

@@ -6,7 +6,7 @@
 //! (allkeys-lru), random, and sampled-LFU eviction across YCSB skews.
 
 use cxl_bench::emit;
-use cxl_kv::{EvictionPolicy, KvConfig, KvStore};
+use cxl_kv::{EvictionPolicy, KvConfig, KvStore, VALUE_SIZE};
 use cxl_stats::report::Table;
 use cxl_tier::TierConfig;
 use cxl_topology::{MemoryTier, SncMode, Topology};
@@ -25,7 +25,7 @@ fn run(policy: EvictionPolicy, workload: Workload) -> (f64, f64) {
         eviction: policy,
         ..Default::default()
     };
-    let bytes = cfg.record_count * cfg.value_size;
+    let bytes = cfg.record_count * VALUE_SIZE;
     let mut tier = TierConfig::bind(vec![dram]);
     tier.capacity_override = vec![(dram, (bytes as f64 * 0.6) as u64)];
     for n in topo.nodes().iter().filter(|n| n.id != dram) {

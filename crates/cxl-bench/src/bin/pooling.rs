@@ -123,7 +123,7 @@ fn main() {
                 mean_gib: dynamic.demand_mean_gib,
                 std_gib: dynamic.demand_std_gib,
             },
-            percentile: cfg.slo_percentile,
+            percentile: cxl_pool::SLO_PERCENTILE,
             local_dram_gib: cfg.local_dram_gib as f64,
             seed: cfg.seed,
             ..Default::default()

@@ -1,15 +1,18 @@
 //! Regenerates the §4.3 elastic-compute revenue arithmetic.
 
-use cxl_bench::{emit, shape_line};
-use cxl_core::experiments::vm::{run, Fig8Params};
+use cxl_bench::{emit, runner_from_args, shape_line};
+use cxl_core::experiments::vm::{run_with, Fig8Params};
 
 fn main() {
     let _metrics = cxl_bench::metrics_guard();
-    let study = run(Fig8Params {
-        record_count: 100_000,
-        ops: 100_000,
-        seed: 42,
-    });
+    let study = run_with(
+        &runner_from_args(),
+        Fig8Params {
+            record_count: 100_000,
+            ops: 100_000,
+            seed: 42,
+        },
+    );
     emit(&study.revenue, || {
         let mut out = String::new();
         out.push_str(&study.revenue_table().render());

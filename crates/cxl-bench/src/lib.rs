@@ -23,56 +23,71 @@ pub fn json_mode() -> bool {
 /// line, then the `CXL_JOBS` environment variable, then the machine's
 /// available parallelism. Output is bit-identical for any value.
 ///
-/// A `--jobs` that is zero, not a number, or missing its value prints
-/// an error and exits with status 2.
+/// A `--jobs` that is zero, not a number, or missing its value, and a
+/// `CXL_JOBS` that is neither blank nor a positive integer, print an
+/// error and exit with status 2.
 pub fn runner_from_args() -> cxl_core::Runner {
-    match jobs_arg(std::env::args().skip(1)) {
-        Ok(Some(n)) => cxl_core::Runner::new(n),
-        Ok(None) => cxl_core::Runner::from_env(),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
+    let runner = match jobs_arg(std::env::args().skip(1)) {
+        Ok(Some(n)) => Ok(cxl_core::Runner::new(n)),
+        Ok(None) => cxl_core::Runner::try_from_env(),
+        Err(e) => Err(e),
+    };
+    runner.unwrap_or_else(|e| usage_error(&e))
 }
 
-/// The worker count from the first `--jobs N` / `--jobs=N` in `args`,
-/// `None` when the flag is absent.
-fn jobs_arg(mut args: impl Iterator<Item = String>) -> Result<Option<usize>, String> {
+/// Prints `error: {msg}` and exits with status 2, the usage error.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
+}
+
+/// The value of the first `name V` / `name=V` in `args`, `None` when
+/// the flag is absent. A missing or empty value, or one that starts
+/// with `--` (the next flag), is an error naming the flag.
+fn flag_value(
+    mut args: impl Iterator<Item = String>,
+    name: &str,
+) -> Result<Option<String>, String> {
+    let inline = format!("{name}=");
     while let Some(a) = args.next() {
-        let v = if a == "--jobs" {
-            args.next().ok_or("--jobs needs a value")?
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
+        let v = if a == name {
+            args.next().ok_or(format!("{name} needs a value"))?
+        } else if let Some(v) = a.strip_prefix(&inline) {
             v.to_string()
         } else {
             continue;
         };
-        return match v.parse::<usize>() {
-            Ok(n) if n > 0 => Ok(Some(n)),
-            _ => Err(format!("--jobs expects a positive integer, got {v:?}")),
-        };
+        if v.is_empty() || v.starts_with("--") {
+            return Err(format!("{name} needs a value, got {v:?}"));
+        }
+        return Ok(Some(v));
     }
     Ok(None)
+}
+
+/// The worker count from the first `--jobs N` / `--jobs=N` in `args`,
+/// `None` when the flag is absent.
+fn jobs_arg(args: impl Iterator<Item = String>) -> Result<Option<usize>, String> {
+    flag_value(args, "--jobs")?
+        .map(|v| cxl_core::runner::parse_jobs("--jobs", &v))
+        .transpose()
 }
 
 /// Destination of the metrics export, from `--metrics <path>`,
 /// `--metrics=<path>`, or the `CXL_METRICS` environment variable (flag
 /// wins). `None` disables metrics collection entirely.
+///
+/// A `--metrics` with a missing or empty path, or with a path that
+/// starts with `--`, prints an error and exits with status 2.
 pub fn metrics_path() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--metrics" {
-            if let Some(p) = args.next() {
-                return Some(p.into());
-            }
-        } else if let Some(p) = a.strip_prefix("--metrics=") {
-            return Some(p.into());
-        }
+    match flag_value(std::env::args().skip(1), "--metrics") {
+        Ok(Some(p)) => Some(p.into()),
+        Ok(None) => std::env::var("CXL_METRICS")
+            .ok()
+            .filter(|v| !v.trim().is_empty())
+            .map(Into::into),
+        Err(e) => usage_error(&e),
     }
-    std::env::var("CXL_METRICS")
-        .ok()
-        .filter(|v| !v.trim().is_empty())
-        .map(Into::into)
 }
 
 /// Enables metrics collection when a destination is configured and

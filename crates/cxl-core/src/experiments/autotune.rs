@@ -744,11 +744,6 @@ fn kv_static_grid() -> Vec<(String, usize, usize)> {
     grid
 }
 
-/// Runs the study on the environment-configured runner.
-pub fn run(params: AutotuneParams) -> AutotuneStudy {
-    run_with(&Runner::from_env(), params)
-}
-
 /// Runs the study on an explicit runner. Every cell is seeded from the
 /// root seed and its label, so the study is bit-identical for any
 /// worker count.

@@ -321,11 +321,6 @@ pub fn run_cell(policy: BalancerPolicy, intensity_gbps: f64, p: BalancerParams) 
     }
 }
 
-/// Runs the full sweep on the environment-configured runner.
-pub fn run(p: BalancerParams) -> BalancerStudy {
-    run_with(&Runner::from_env(), p)
-}
-
 /// Runs the full sweep on an explicit runner. Each `(policy,
 /// intensity)` cell builds its own tier manager and derives its page
 /// stream from the root seed and the policy label (inside
@@ -425,7 +420,7 @@ mod tests {
             measure_epochs: 5,
             ..Default::default()
         };
-        let s = run(p);
+        let s = run_with(&Runner::from_env(), p);
         assert_eq!(s.rows.len(), 4);
         let t = s.table();
         assert_eq!(t.rows.len(), 4);

@@ -124,11 +124,6 @@ pub struct CalibStudy {
     pub cells: Vec<CalibCell>,
 }
 
-/// Runs the study on the environment-configured runner.
-pub fn run() -> CalibStudy {
-    run_with(&Runner::from_env(), CalibParams::default())
-}
-
 /// Runs the study on an explicit runner. Targets run serially; within
 /// each target the fitter's candidate grids fan out across the runner.
 pub fn run_with(runner: &Runner, params: CalibParams) -> CalibStudy {

@@ -118,13 +118,6 @@ impl ColocationStudy {
 /// not bandwidth-hungry).
 const SERVICE_LOAD_GBPS: f64 = 4.0;
 
-/// Runs the study on one socket of the paper's testbed (SNC disabled:
-/// 8 DDR channels) plus its CXL expanders, with the
-/// environment-configured runner.
-pub fn run(intensities: &[f64]) -> ColocationStudy {
-    run_with(&Runner::from_env(), intensities)
-}
-
 /// Runs the study on an explicit runner. The `(placement, intensity)`
 /// grid is flattened into independent analytic solves over one shared
 /// [`MemSystem`].
@@ -198,7 +191,7 @@ mod tests {
     use super::*;
 
     fn study() -> ColocationStudy {
-        run(&[50.0, 150.0, 250.0])
+        run_with(&Runner::from_env(), &[50.0, 150.0, 250.0])
     }
 
     #[test]

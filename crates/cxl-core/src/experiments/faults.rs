@@ -14,7 +14,7 @@
 use serde::Serialize;
 
 use cxl_fault::FaultKind;
-use cxl_kv::{KvConfig, KvStore};
+use cxl_kv::{KvConfig, KvStore, VALUE_SIZE};
 use cxl_perf::{AccessMix, MemSystem};
 use cxl_stats::report::{fmt_f64, Table};
 use cxl_tier::{AllocPolicy, HotPageConfig, MigrationMode, TierConfig};
@@ -206,7 +206,7 @@ fn run_cell(
     seed: u64,
 ) -> FaultCell {
     let topo = Topology::paper_testbed(SncMode::Disabled);
-    let dataset_bytes = params.record_count * 1024;
+    let dataset_bytes = params.record_count * VALUE_SIZE;
     let mut tc = TierConfig::bind(vec![DRAM0]);
     tc.policy = AllocPolicy::interleave(vec![DRAM0], vec![CXL0], 1, 1);
     // DRAM holds 3/4 of the dataset at most: a full evacuation cannot
@@ -292,11 +292,6 @@ fn run_cell(
         post_idle_cxl_ns,
         expected_idle_cxl_ns,
     }
-}
-
-/// Runs the sweep on the environment-configured runner.
-pub fn run(params: FaultParams) -> FaultStudy {
-    run_with(&Runner::from_env(), params)
 }
 
 /// Runs the sweep on an explicit runner. Each scenario is seeded from

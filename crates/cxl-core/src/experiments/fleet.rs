@@ -199,13 +199,7 @@ fn cell_config(s: &Scenario, params: FleetParams) -> FleetConfig {
         step: SimTime::from_ms(params.step_ms),
         fault_at: fault_s.map(|at| (1, SimTime::from_secs(at))),
         seed: derive_seed(params.seed, &format!("fleet/{label}")),
-        ..Default::default()
     }
-}
-
-/// Runs the sweep on the environment-configured runner.
-pub fn run(params: FleetParams) -> FleetStudy {
-    run_with(&Runner::from_env(), params)
 }
 
 /// Runs the sweep on an explicit runner.

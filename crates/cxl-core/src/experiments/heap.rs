@@ -399,11 +399,6 @@ impl HeapStudy {
     }
 }
 
-/// Runs the study on the environment-configured runner.
-pub fn run(params: HeapStudyParams) -> HeapStudy {
-    run_with(&Runner::from_env(), params)
-}
-
 /// Runs the study on an explicit runner. Every cell is seeded from the
 /// root seed and its label, so the study is bit-identical for any
 /// worker count.

@@ -2,7 +2,7 @@
 
 use serde::Serialize;
 
-use cxl_kv::{KvConfig, KvStore, MemProfile, RunResult};
+use cxl_kv::{KvConfig, KvStore, MemProfile, RunResult, VALUE_SIZE};
 use cxl_stats::report::{Figure, Series, Table};
 use cxl_stats::rng::derive_seed;
 use cxl_stats::Histogram;
@@ -161,11 +161,7 @@ impl KeydbStudy {
 fn kv_config(params: Fig5Params) -> KvConfig {
     KvConfig {
         record_count: params.record_count,
-        value_size: 1024,
-        server_threads: 7,
-        client_concurrency: 28,
         profile: MemProfile::capacity_strained(),
-        epoch_ops: 2_000,
         eviction: cxl_kv::EvictionPolicy::Clock,
         seed: params.seed,
     }
@@ -173,7 +169,7 @@ fn kv_config(params: Fig5Params) -> KvConfig {
 
 fn build_store(config: CapacityConfig, params: Fig5Params) -> KvStore {
     let topo = Topology::paper_testbed(SncMode::Disabled);
-    let dataset = params.record_count * 1024;
+    let dataset = params.record_count * VALUE_SIZE;
     let (tier, flash) = config.tier_config(&topo, dataset);
     KvStore::new(&topo, tier, kv_config(params), flash)
 }
@@ -273,6 +269,27 @@ mod tests {
         assert!(mmem > il, "MMEM {mmem} vs 1:1 {il}");
         assert!(il > ssd, "1:1 {il} vs SSD {ssd}");
         assert!(hp > il, "Hot-Promote {hp} vs 1:1 {il}");
+    }
+
+    #[test]
+    fn keydb_interleave_slowdown_is_seed_robust() {
+        // The 1:1 slowdown conclusion must not hinge on one seed.
+        let mut s = cxl_stats::Summary::new();
+        for seed in 100..104 {
+            let p = Fig5Params {
+                record_count: 30_000,
+                ops: 25_000,
+                warmup_ops: 0,
+                seed,
+            };
+            let mmem = run_cell(CapacityConfig::Mmem, Workload::C, p).throughput_ops;
+            let il = run_cell(CapacityConfig::Interleave11, Workload::C, p).throughput_ops;
+            s.add(mmem / il);
+        }
+        assert!(s.min() > 1.2, "min slowdown {}", s.min());
+        assert!(s.max() < 1.6, "max slowdown {}", s.max());
+        let cv = s.std_dev() / s.mean();
+        assert!(cv < 0.10, "cv {cv}");
     }
 
     #[test]

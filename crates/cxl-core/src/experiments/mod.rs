@@ -12,7 +12,6 @@
 //! | [`balancer`] | §5.3's insight operationalized: bandwidth-aware tiering vs capacity-only tiering |
 //! | [`colocation`] | Multi-tenant isolation: parking the bandwidth hog on CXL (§3.4) |
 //! | [`slo`] | Open-loop tail-latency capacity per placement |
-//! | [`replication`] | Multi-seed mean ± std for any experiment metric |
 //! | [`faults`] | Graceful degradation: KeyDB across expander faults of rising severity |
 //! | [`pool`] | §7.1 projection: dynamic multi-host pooling vs static per-host provisioning |
 //! | [`fleet`] | ROADMAP item 2: multi-rack pooling over a rack/spine fabric with path-priced leases |
@@ -34,7 +33,6 @@ pub mod latency;
 pub mod llm;
 pub mod pool;
 pub mod processors;
-pub mod replication;
 pub mod serve;
 pub mod slo;
 pub mod spark;

@@ -20,7 +20,7 @@ use serde::Serialize;
 
 use cxl_cost::pooling::evaluate;
 use cxl_cost::{DemandModel, PoolingConfig};
-use cxl_pool::{PoolSimConfig, PoolSimReport};
+use cxl_pool::{PoolSimConfig, PoolSimReport, SLO_PERCENTILE};
 use cxl_sim::SimTime;
 use cxl_stats::report::{fmt_f64, Table};
 
@@ -202,9 +202,7 @@ fn run_cell(
         step: SimTime::from_ms(params.step_ms),
         fault_at: fault_at_s.map(SimTime::from_secs),
         seed,
-        ..Default::default()
     };
-    let slo = cfg.slo_percentile;
     let report = cxl_pool::run(&cfg);
     // Cross-check against the static quantile model, fed the moments of
     // the demand the simulation actually replayed (see `PoolCell` for
@@ -215,7 +213,7 @@ fn run_cell(
             mean_gib: report.demand_mean_gib,
             std_gib: report.demand_std_gib,
         },
-        percentile: slo,
+        percentile: SLO_PERCENTILE,
         local_dram_gib: params.local_dram_gib as f64,
         samples: params.model_samples,
         seed,
@@ -230,11 +228,6 @@ fn run_cell(
     };
     cell.ideal_saving = cell.saving_with_pool(cell.report.ideal_pool_gib);
     cell
-}
-
-/// Runs the sweep on the environment-configured runner.
-pub fn run(params: PoolParams) -> PoolStudy {
-    run_with(&Runner::from_env(), params)
 }
 
 /// Runs the sweep on an explicit runner. Each scenario is seeded from

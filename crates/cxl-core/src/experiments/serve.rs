@@ -307,7 +307,6 @@ fn scenario(p: &ServeParams, rate_mult: f64, adaptive: bool, static_slabs: u64) 
         autoscale: adaptive.then(|| AutoscaleConfig {
             period: SimTime::from_ms(p.autoscale_period_ms),
             ladder: vec![0, 1, 2, 4, 6],
-            ..AutoscaleConfig::default()
         }),
         static_lease_slabs: static_slabs,
         fault_at: Some(p.fault_at()),
@@ -330,11 +329,6 @@ fn grid(p: &ServeParams) -> Vec<(String, CellSpec)> {
         ("static-peak".to_string(), (1.0, false, p.static_peak_slabs)),
         ("overload".to_string(), (p.overload_mult, true, 0)),
     ]
-}
-
-/// Runs the study on the environment-configured runner.
-pub fn run(params: ServeParams) -> ServeStudy {
-    run_with(&Runner::from_env(), params)
 }
 
 /// Runs the study on an explicit runner. Every cell is seeded from the

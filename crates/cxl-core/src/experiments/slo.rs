@@ -8,7 +8,7 @@
 
 use serde::Serialize;
 
-use cxl_kv::{KvConfig, KvStore, MemProfile};
+use cxl_kv::{KvConfig, KvStore, MemProfile, VALUE_SIZE};
 use cxl_topology::{SncMode, Topology};
 use cxl_ycsb::Workload;
 
@@ -84,7 +84,7 @@ pub fn probe(config: CapacityConfig, params: &SloParams) -> SloRow {
             seed: params.seed,
             ..Default::default()
         };
-        let (tier, flash) = config.tier_config(&topo, kv.record_count * kv.value_size);
+        let (tier, flash) = config.tier_config(&topo, kv.record_count * VALUE_SIZE);
         let mut store = KvStore::new(&topo, tier, kv, flash);
         if params.warmup_ops > 0 {
             store.run(params.workload, params.warmup_ops);
@@ -105,12 +105,6 @@ pub fn probe(config: CapacityConfig, params: &SloParams) -> SloRow {
         points,
         max_rate,
     }
-}
-
-/// Runs the study for a set of placements on the
-/// environment-configured runner.
-pub fn run(configs: &[CapacityConfig], params: &SloParams) -> Vec<SloRow> {
-    run_with(&Runner::from_env(), configs, params)
 }
 
 /// Runs the study on an explicit runner. Every placement probes the
@@ -144,7 +138,8 @@ mod tests {
     #[test]
     fn slo_capacity_orders_mmem_above_cxl_heavy() {
         let p = SloParams::smoke();
-        let rows = run(
+        let rows = run_with(
+            &Runner::from_env(),
             &[
                 CapacityConfig::Mmem,
                 CapacityConfig::Interleave11,

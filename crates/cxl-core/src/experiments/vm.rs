@@ -163,11 +163,7 @@ fn run_binding(topo: &Topology, on_cxl: bool, params: Fig8Params) -> (f64, Histo
         .id;
     let kv = KvConfig {
         record_count: params.record_count,
-        value_size: 1024,
-        server_threads: 7,
-        client_concurrency: 28,
         profile: MemProfile::standard(),
-        epoch_ops: 2_000,
         eviction: cxl_kv::EvictionPolicy::Clock,
         seed: params.seed,
     };

@@ -12,7 +12,7 @@
 //!   never from shared generator state, so scheduling cannot perturb any
 //!   random stream.
 //!
-//! The worker count comes from [`Runner::from_env`]: the `CXL_JOBS`
+//! The worker count comes from [`Runner::try_from_env`]: the `CXL_JOBS`
 //! environment variable if set, otherwise the machine's available
 //! parallelism. `Runner::new(1)` degenerates to a plain in-place loop
 //! with no threads spawned at all.
@@ -24,6 +24,15 @@ use cxl_stats::rng::derive_seed;
 
 /// Environment variable bounding the worker pool.
 pub const JOBS_ENV: &str = "CXL_JOBS";
+
+/// Parses the worker count `source` (`--jobs` or [`JOBS_ENV`]) gave:
+/// a positive integer, or an error naming `source`.
+pub fn parse_jobs(source: &str, v: &str) -> Result<usize, String> {
+    match v.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{source} expects a positive integer, got {v:?}")),
+    }
+}
 
 /// A bounded worker pool for experiment cells.
 #[derive(Debug, Clone, Copy)]
@@ -49,18 +58,33 @@ impl Runner {
         Runner::new(1)
     }
 
-    /// Reads `CXL_JOBS`, falling back to the available parallelism.
+    /// The runner `CXL_JOBS` asks for: that many workers, or the
+    /// machine's available parallelism when it is unset or blank.
+    ///
+    /// # Errors
+    ///
+    /// A `CXL_JOBS` that is anything but blank or a positive integer
+    /// (see [`parse_jobs`]).
+    pub fn try_from_env() -> Result<Self, String> {
+        let v = match std::env::var(JOBS_ENV) {
+            Ok(v) => v,
+            Err(std::env::VarError::NotPresent) => String::new(),
+            Err(std::env::VarError::NotUnicode(v)) => v.to_string_lossy().into_owned(),
+        };
+        if v.trim().is_empty() {
+            let n = std::thread::available_parallelism().map_or(1, |n| n.get());
+            return Ok(Runner::new(n));
+        }
+        parse_jobs(JOBS_ENV, &v).map(Runner::new)
+    }
+
+    /// [`Runner::try_from_env`].
+    ///
+    /// # Panics
+    ///
+    /// Panics with its error on a malformed `CXL_JOBS`.
     pub fn from_env() -> Self {
-        let jobs = std::env::var(JOBS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&j| j > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        Runner::new(jobs)
+        Self::try_from_env().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The worker count.

@@ -20,4 +20,4 @@
 
 pub mod store;
 
-pub use store::{EvictionPolicy, KvConfig, KvStore, MemProfile, RunResult};
+pub use store::{EvictionPolicy, KvConfig, KvStore, MemProfile, RunResult, VALUE_SIZE};

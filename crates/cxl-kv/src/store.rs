@@ -119,22 +119,31 @@ pub enum EvictionPolicy {
     Lfu,
 }
 
+/// Value size in bytes: 1 KiB, the YCSB default the paper keeps
+/// (§4.1.1). A store's dataset is `record_count * VALUE_SIZE` bytes.
+pub const VALUE_SIZE: u64 = 1024;
+
+/// KeyDB server threads (7 in the paper, §4.1.1).
+const SERVER_THREADS: usize = 7;
+
+/// Closed-loop YCSB clients, four per server thread.
+const CLIENT_CONCURRENCY: usize = 28;
+
+/// Contention-priced latencies are refreshed every this many operations,
+/// counted per run or per serving session.
+const EPOCH_OPS: u64 = 2_000;
+
+// A zero here would panic at the first op: `MultiServer::new`, a
+// remainder by zero in `Arrivals::next` and in the run loop's epoch check.
+const _: () = assert!(SERVER_THREADS > 0 && CLIENT_CONCURRENCY > 0 && EPOCH_OPS > 0);
+
 /// Store configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KvConfig {
     /// Pre-loaded record count.
     pub record_count: u64,
-    /// Value size in bytes (1 KiB default, the YCSB default in §4.1.1).
-    pub value_size: u64,
-    /// KeyDB server threads (7 in the paper).
-    pub server_threads: usize,
-    /// Closed-loop client concurrency.
-    pub client_concurrency: usize,
     /// Cost profile.
     pub profile: MemProfile,
-    /// Refresh contention-priced latencies every this many operations
-    /// (counted per run, or per serving session). Must be positive.
-    pub epoch_ops: u64,
     /// FLASH-mode eviction policy.
     pub eviction: EvictionPolicy,
     /// Root seed.
@@ -151,12 +160,12 @@ impl KvConfig {
     }
 
     /// Stream `run`'s generator configuration: the store's record count
-    /// and value size, seeded from the root seed and `{label}.{run}`.
+    /// and [`VALUE_SIZE`], seeded from the root seed and `{label}.{run}`.
     /// `label` names the entry point (`run`, `openloop` or `serve`).
     fn stream_config(&self, label: &str, run: u64) -> GeneratorConfig {
         GeneratorConfig {
             record_count: self.record_count,
-            value_size: self.value_size,
+            value_size: VALUE_SIZE,
             seed: cxl_stats::rng::derive_seed(self.seed, &format!("{label}.{run}")),
         }
     }
@@ -166,11 +175,7 @@ impl Default for KvConfig {
     fn default() -> Self {
         Self {
             record_count: 100_000,
-            value_size: 1024,
-            server_threads: 7,
-            client_concurrency: 28,
             profile: MemProfile::capacity_strained(),
-            epoch_ops: 2_000,
             eviction: EvictionPolicy::Clock,
             seed: 42,
         }
@@ -249,23 +254,13 @@ impl KvStore {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.epoch_ops`, `cfg.server_threads` or
-    /// `cfg.client_concurrency` is zero, or if the dataset cannot be
-    /// placed (no SSD and nodes too small).
+    /// Panics if the dataset cannot be placed (no SSD and nodes too
+    /// small).
     pub fn new(topo: &Topology, mut tier_cfg: TierConfig, cfg: KvConfig, flash: bool) -> Self {
-        assert!(cfg.epoch_ops > 0, "KvConfig::epoch_ops must be positive");
-        assert!(
-            cfg.server_threads > 0,
-            "KvConfig::server_threads must be positive"
-        );
-        assert!(
-            cfg.client_concurrency > 0,
-            "KvConfig::client_concurrency must be positive"
-        );
         tier_cfg.allow_ssd_spill = flash;
         let mut mem = PricedTier::new(topo, tier_cfg);
         let tm = mem.tier_mut();
-        let total_bytes = cfg.record_count * cfg.value_size;
+        let total_bytes = cfg.record_count * VALUE_SIZE;
         let n_pages = total_bytes.div_ceil(tm.page_size());
         let first = tm
             .alloc_dense(n_pages, SimTime::ZERO)
@@ -393,7 +388,7 @@ impl KvStore {
     }
 
     fn page_index_of_key(&self, key: u64) -> usize {
-        ((key * self.cfg.value_size) / self.tier().page_size()) as usize
+        ((key * VALUE_SIZE) / self.tier().page_size()) as usize
     }
 
     /// Data pages allocated so far.
@@ -534,11 +529,11 @@ impl KvStore {
         self.mark_referenced(page);
     }
 
-    /// Prices a single-page access: touch, fault costs, SSD caching.
-    /// Returns `(service_ns, hit_ssd)` for that page.
-    fn access_page(&mut self, idx: usize, rw: Rw, chases: f64, bytes: u64) -> (f64, bool) {
+    /// Prices a single-page access of one value: touch, fault costs,
+    /// SSD caching. Returns `(service_ns, hit_ssd)` for that page.
+    fn access_page(&mut self, idx: usize, rw: Rw, chases: f64) -> (f64, bool) {
         let page = PageId(idx as u64);
-        let outcome = self.mem.tier_mut().touch(page, rw, bytes, self.now);
+        let outcome = self.mem.tier_mut().touch(page, rw, VALUE_SIZE, self.now);
         self.mark_referenced(page);
         if self.lfu() {
             self.freq[page.0 as usize] += 1;
@@ -604,15 +599,15 @@ impl KvStore {
         match op {
             Op::Read(_) | Op::Update(_) | Op::Insert(_) => {
                 let rw = if op.is_write() { Rw::Write } else { Rw::Read };
-                let (a, h) = self.access_page(idx, rw, chases, self.cfg.value_size);
+                let (a, h) = self.access_page(idx, rw, chases);
                 ns += a;
                 hit_ssd |= h;
             }
             Op::ReadModifyWrite(_) => {
                 // Read, then write the same record: the read pays the
                 // full chase chain, the write-back a short one.
-                let (a, h) = self.access_page(idx, Rw::Read, chases, self.cfg.value_size);
-                let (b, h2) = self.access_page(idx, Rw::Write, 2.0, self.cfg.value_size);
+                let (a, h) = self.access_page(idx, Rw::Read, chases);
+                let (b, h2) = self.access_page(idx, Rw::Write, 2.0);
                 ns += a + b;
                 hit_ssd |= h | h2;
             }
@@ -624,7 +619,7 @@ impl KvStore {
                 let last = self.page_index_of_key(last_key).min(self.page_count() - 1);
                 for (i, pg) in (first..=last).enumerate() {
                     let c = if i == 0 { chases } else { 2.0 };
-                    let (a, h) = self.access_page(pg, Rw::Read, c, self.cfg.value_size);
+                    let (a, h) = self.access_page(pg, Rw::Read, c);
                     ns += a;
                     hit_ssd |= h;
                 }
@@ -674,7 +669,7 @@ impl KvStore {
     /// draws the next ops from a persistent deterministic YCSB session
     /// (continued across calls, like repeated [`run`]s continue the
     /// trace), prices them against the live tier layout, and keeps its
-    /// epoch-refresh cadence (`epoch_ops`) ticking on the session's op
+    /// epoch-refresh cadence (`EPOCH_OPS`) ticking on the session's op
     /// counter.
     ///
     /// The tiering clock only moves forward: dispatch instants from a
@@ -714,7 +709,7 @@ impl KvStore {
             let (service_ns, _hit_ssd) = self.service_op(op);
             total_ns += service_ns;
             session.ops += 1;
-            if session.ops.is_multiple_of(self.cfg.epoch_ops) {
+            if session.ops.is_multiple_of(EPOCH_OPS) {
                 self.mem.reprice(self.now);
             }
         }
@@ -730,7 +725,7 @@ impl KvStore {
     /// run's exact key sequence.
     pub fn run(&mut self, workload: Workload, ops: u64) -> RunResult {
         let gen_cfg = self.next_stream("run");
-        let clients = Arrivals::closed(self.cfg.client_concurrency);
+        let clients = Arrivals::closed(CLIENT_CONCURRENCY);
         self.run_ops(LiveOps::new(workload, gen_cfg, ops), ops, clients)
     }
 
@@ -755,7 +750,7 @@ impl KvStore {
             "trace recorded from {:?} is not this store's run {run}, {gen_cfg:?}",
             trace.config()
         );
-        let clients = Arrivals::closed(self.cfg.client_concurrency);
+        let clients = Arrivals::closed(CLIENT_CONCURRENCY);
         self.run_ops(trace.replay(), trace.len(), clients)
     }
 
@@ -773,7 +768,7 @@ impl KvStore {
         mut arrivals: Arrivals,
     ) -> RunResult {
         let start = self.now;
-        let mut servers = MultiServer::new(self.cfg.server_threads);
+        let mut servers = MultiServer::new(SERVER_THREADS);
         let mut latency = Histogram::new();
         let mut read_latency = Histogram::new();
         let mut ssd_hits = 0u64;
@@ -798,7 +793,7 @@ impl KvStore {
             if hit_ssd {
                 ssd_hits += 1;
             }
-            if (i + 1) % self.cfg.epoch_ops == 0 {
+            if (i + 1) % EPOCH_OPS == 0 {
                 self.now = self.now.max(completion.finish);
                 self.mem.reprice(self.now);
             }
@@ -897,7 +892,7 @@ mod tests {
 
     fn ssd_store(mem_fraction: f64) -> KvStore {
         let cfg = kv_cfg();
-        let bytes = (cfg.record_count * cfg.value_size) as f64;
+        let bytes = (cfg.record_count * VALUE_SIZE) as f64;
         let mut tc = TierConfig::bind(vec![DRAM0]);
         tc.capacity_override = vec![
             (DRAM0, (bytes * mem_fraction) as u64),
@@ -957,7 +952,7 @@ mod tests {
 
     fn hot_promote_store() -> KvStore {
         let cfg = kv_cfg();
-        let bytes = cfg.record_count * cfg.value_size;
+        let bytes = cfg.record_count * VALUE_SIZE;
         let mut tc = TierConfig::bind(vec![DRAM0]);
         tc.policy = AllocPolicy::interleave(vec![DRAM0], vec![CXL0], 1, 1);
         // Main memory limited to half the dataset (§4.1.1).
@@ -1101,7 +1096,7 @@ mod tests {
             eviction: policy,
             ..Default::default()
         };
-        let bytes = cfg.record_count * cfg.value_size;
+        let bytes = cfg.record_count * VALUE_SIZE;
         let mut tc = TierConfig::bind(vec![DRAM0]);
         tc.capacity_override = vec![
             (DRAM0, (bytes as f64 * 0.6) as u64),
@@ -1233,23 +1228,20 @@ mod tests {
 
     #[test]
     fn service_request_continues_one_stream() {
-        // 100 ten-op requests must walk the same op stream as one
-        // 1000-op request at the same dispatch instant: one generator
-        // session, with epoch refreshes (every 300 ops, so mid-request)
-        // on the same op counts. Fresh generators per request would
-        // draw other keys and leave other tier state.
-        let store = || {
-            let mut s = ssd_store(0.8);
-            s.cfg.epoch_ops = 300;
-            s
-        };
+        // 100 thirty-op requests must walk the same op stream as one
+        // 3000-op request at the same dispatch instant: one generator
+        // session, with the epoch refresh (at op `EPOCH_OPS`, which
+        // falls mid-request) on the same op count. Fresh generators per
+        // request would draw other keys and leave other tier state.
+        const REQUEST_OPS: u64 = 30;
+        assert!(!EPOCH_OPS.is_multiple_of(REQUEST_OPS) && 100 * REQUEST_OPS > EPOCH_OPS);
         let at = SimTime::from_us(100);
-        let mut split = store();
+        let mut split = ssd_store(0.8);
         for _ in 0..100 {
-            split.service_request(at, Workload::C, 10);
+            split.service_request(at, Workload::C, REQUEST_OPS);
         }
-        let mut whole = store();
-        whole.service_request(at, Workload::C, 1000);
+        let mut whole = ssd_store(0.8);
+        whole.service_request(at, Workload::C, 100 * REQUEST_OPS);
         assert!(split.tier().stats().ssd_loads > 0);
         assert_eq!(split.tier().stats(), whole.tier().stats());
         assert_eq!(split.residency(), whole.residency());
@@ -1265,36 +1257,6 @@ mod tests {
     #[should_panic(expected = "at least one op")]
     fn service_request_rejects_empty_request() {
         mmem_store().service_request(SimTime::ZERO, Workload::C, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "KvConfig::epoch_ops must be positive")]
-    fn zero_epoch_ops_is_rejected() {
-        let cfg = KvConfig {
-            epoch_ops: 0,
-            ..kv_cfg()
-        };
-        KvStore::new(&topo(), TierConfig::bind(vec![DRAM0]), cfg, false);
-    }
-
-    #[test]
-    #[should_panic(expected = "KvConfig::server_threads must be positive")]
-    fn zero_server_threads_is_rejected() {
-        let cfg = KvConfig {
-            server_threads: 0,
-            ..kv_cfg()
-        };
-        KvStore::new(&topo(), TierConfig::bind(vec![DRAM0]), cfg, false);
-    }
-
-    #[test]
-    #[should_panic(expected = "KvConfig::client_concurrency must be positive")]
-    fn zero_client_concurrency_is_rejected() {
-        let cfg = KvConfig {
-            client_concurrency: 0,
-            ..kv_cfg()
-        };
-        KvStore::new(&topo(), TierConfig::bind(vec![DRAM0]), cfg, false);
     }
 
     #[test]

@@ -1059,7 +1059,7 @@ mod tests {
         // at that pool's fabric path latency — cross-rack windows pay
         // the spine and both cables on top of the ToR hop, and the
         // idle-latency solve must reproduce each path sum exactly.
-        let fabric = cxl_topology::Fabric::rack_spine(2, 4, 70.0, 90.0, 20.0);
+        let fabric = cxl_topology::Fabric::rack_spine(2, 4);
         let near = fabric.path_latency_ns("rack0/host0", "rack0/pool").unwrap();
         let far = fabric.path_latency_ns("rack0/host0", "rack1/pool").unwrap();
         let topo = Topology::fleet_host(

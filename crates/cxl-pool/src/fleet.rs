@@ -41,7 +41,9 @@ use rand::Rng;
 use serde::Serialize;
 
 use crate::demand::{DemandConfig, DemandProcess};
-use crate::host::{DemandSummary, EvacuationTally, PooledHost, DRAM_NODE, GIB};
+use crate::host::{
+    DemandSummary, EvacuationTally, PooledHost, DEFRAG_THRESHOLD, DRAM_NODE, SLAB_GIB,
+};
 use crate::lease::HostId;
 use crate::manager::{PoolManager, PoolStats};
 
@@ -119,7 +121,35 @@ impl WorkloadClass {
     }
 }
 
+/// Local DRAM per fleet host, GiB.
+const LOCAL_DRAM_GIB: u64 = 192;
+
+/// Scheduler mix weights for `[KV, Spark, LLM]`, normalized when drawn.
+const MIX: [f64; 3] = [0.5, 0.3, 0.2];
+
+/// Lend-controller headroom: each rack reserves
+/// `ceil(LEND_RESERVE · EWMA(local excess demand))` slabs for its own
+/// hosts before lending.
+const LEND_RESERVE: f64 = 1.25;
+
+/// Ticks between lend-cap recomputations.
+const CONTROL_PERIOD_STEPS: u64 = 4;
+
+const _: () = assert!(
+    MIX[0] >= 0.0 && MIX[1] >= 0.0 && MIX[2] >= 0.0 && MIX[0] + MIX[1] + MIX[2] > 0.0,
+    "mix weights must be non-negative and not all zero"
+);
+const _: () = assert!(LEND_RESERVE.is_finite() && LEND_RESERVE >= 0.0);
+const _: () = assert!(CONTROL_PERIOD_STEPS > 0);
+
 /// Configuration of one fleet simulation.
+///
+/// What every fleet run shares is a constant of this module: each
+/// host's local DRAM (`LOCAL_DRAM_GIB`), the fabric's ToR, spine and
+/// cable latencies, the scheduler's class weights (`MIX`), and the lend
+/// controllers' reserve and retune period. The slab and page sizes, the
+/// SLO percentile and the compaction threshold are the constants both
+/// pooling sims share.
 #[derive(Debug, Clone, Serialize)]
 pub struct FleetConfig {
     /// Racks in the fleet, each with a ToR switch and one pooled
@@ -127,39 +157,14 @@ pub struct FleetConfig {
     pub racks: usize,
     /// Hosts per rack.
     pub hosts_per_rack: usize,
-    /// Local DRAM per host, GiB.
-    pub local_dram_gib: u64,
     /// Pooled capacity per rack, GiB.
     pub rack_pool_gib: u64,
-    /// Lease granularity, GiB per slab.
-    pub slab_gib: u64,
-    /// Top-of-rack switch port-to-port latency, ns.
-    pub tor_hop_ns: f64,
-    /// Spine switch port-to-port latency, ns.
-    pub spine_hop_ns: f64,
-    /// ToR↔spine cable latency, ns.
-    pub cable_ns: f64,
-    /// Simulated page size, bytes (coarse — see [`crate::PoolSimConfig`]).
-    pub page_bytes: u64,
-    /// Scheduler mix weights for `[KV, Spark, LLM]` (normalized
-    /// internally; must not all be zero).
-    pub mix: [f64; 3],
     /// Global cap on outstanding leased capacity fleet-wide, GiB.
     pub global_budget_gib: u64,
-    /// Lend-controller headroom: each rack reserves
-    /// `ceil(reserve · EWMA(local excess demand))` slabs for its own
-    /// hosts before lending.
-    pub lend_reserve: f64,
-    /// Ticks between lend-cap recomputations.
-    pub control_period_steps: u64,
     /// Simulated duration.
     pub horizon: SimTime,
     /// Control-loop tick.
     pub step: SimTime,
-    /// SLO percentile the static baseline provisions for.
-    pub slo_percentile: f64,
-    /// Per-rack pool compaction threshold (see [`PoolManager::new`]).
-    pub defrag_threshold: f64,
     /// When set, `(rack, at)`: that rack's expander dies at `at` —
     /// mass revocation, fleet-wide evacuation of its windows.
     pub fault_at: Option<(usize, SimTime)>,
@@ -172,21 +177,10 @@ impl Default for FleetConfig {
         Self {
             racks: 2,
             hosts_per_rack: 32,
-            local_dram_gib: 192,
             rack_pool_gib: 1792,
-            slab_gib: 1,
-            tor_hop_ns: 70.0,
-            spine_hop_ns: 90.0,
-            cable_ns: 20.0,
-            page_bytes: 64 * 1024 * 1024,
-            mix: [0.5, 0.3, 0.2],
             global_budget_gib: 3584,
-            lend_reserve: 1.25,
-            control_period_steps: 4,
             horizon: SimTime::from_secs(60),
             step: SimTime::from_ms(250),
-            slo_percentile: 0.99,
-            defrag_threshold: 0.5,
             fault_at: None,
             seed: 42,
         }
@@ -212,33 +206,16 @@ impl FleetConfig {
 
     /// The fleet's fabric.
     pub fn fabric(&self) -> Fabric {
-        Fabric::rack_spine(
-            self.racks,
-            self.hosts_per_rack,
-            self.tor_hop_ns,
-            self.spine_hop_ns,
-            self.cable_ns,
-        )
-    }
-
-    fn slab_bytes(&self) -> u64 {
-        self.slab_gib * GIB
+        Fabric::rack_spine(self.racks, self.hosts_per_rack)
     }
 
     fn budget_slabs(&self) -> u64 {
-        self.global_budget_gib / self.slab_gib
+        self.global_budget_gib / SLAB_GIB
     }
 
     fn validate(&self) {
         assert!(self.racks > 0 && self.hosts_per_rack > 0, "empty fleet");
-        assert!(self.slab_gib > 0 && self.rack_pool_gib >= self.slab_gib);
-        assert!(
-            self.page_bytes > 0 && (self.slab_gib * GIB).is_multiple_of(self.page_bytes),
-            "slab size must be a whole number of pages"
-        );
-        assert!(self.mix.iter().all(|w| *w >= 0.0) && self.mix.iter().sum::<f64>() > 0.0);
-        assert!(self.lend_reserve >= 0.0 && self.lend_reserve.is_finite());
-        assert!(self.control_period_steps > 0);
+        assert!(self.rack_pool_gib >= SLAB_GIB);
         if let Some((rack, _)) = self.fault_at {
             assert!(rack < self.racks, "fault rack out of range");
         }
@@ -278,12 +255,12 @@ impl FleetPlan {
     pub fn compute(cfg: &FleetConfig) -> Self {
         cfg.validate();
         let mut rng = stream_rng(cfg.seed, "fleet/placement");
-        let total: f64 = cfg.mix.iter().sum();
+        let total: f64 = MIX.iter().sum();
         let mut drawn: Vec<WorkloadClass> = (0..cfg.hosts())
             .map(|_| {
                 let u = rng.gen::<f64>() * total;
                 let mut acc = 0.0;
-                for (i, w) in cfg.mix.iter().enumerate() {
+                for (i, w) in MIX.iter().enumerate() {
                     acc += w;
                     if u < acc {
                         return WorkloadClass::ALL[i];
@@ -383,13 +360,11 @@ pub fn build_host(cfg: &FleetConfig, spec: &HostSpec) -> FleetHost {
     FleetHost {
         spec: *spec,
         host: PooledHost::new(
-            Topology::fleet_host(cfg.local_dram_gib, &windows),
+            Topology::fleet_host(LOCAL_DRAM_GIB, &windows),
             bind,
-            cfg.page_bytes,
             demand,
             cfg.horizon,
             cfg.step,
-            cfg.slo_percentile,
         ),
     }
 }
@@ -506,10 +481,10 @@ impl FleetState {
         for (i, h) in hosts.iter().enumerate() {
             assert_eq!(h.spec.global, i, "hosts must arrive in global order");
         }
-        let rack_slabs = cfg.rack_pool_gib / cfg.slab_gib;
+        let rack_slabs = cfg.rack_pool_gib / SLAB_GIB;
         let racks = (0..cfg.racks)
             .map(|_| RackState {
-                manager: PoolManager::new(rack_slabs, cfg.hosts(), cfg.defrag_threshold),
+                manager: PoolManager::new(rack_slabs, cfg.hosts(), DEFRAG_THRESHOLD),
                 lent_slabs: 0,
                 // Fully open until the controller's first sample; the
                 // EWMA tightens it from the second tick on.
@@ -537,10 +512,6 @@ impl FleetState {
         }
     }
 
-    fn slab_bytes(&self) -> u64 {
-        self.cfg.slab_bytes()
-    }
-
     /// Outstanding leased slabs fleet-wide (the budget's view).
     fn outstanding_slabs(&self) -> u64 {
         self.racks.iter().map(|r| r.manager.used_slabs()).sum()
@@ -560,9 +531,7 @@ impl FleetState {
         let mut deferred = Vec::new();
         let hid = HostId(h);
         let my_rack = self.host_racks[h];
-        let slab_bytes = self.slab_bytes();
-        let (target_pages, desired_slabs) =
-            self.hosts[h].demand_at(now, self.cfg.local_dram_gib, slab_bytes);
+        let (target_pages, desired_slabs) = self.hosts[h].demand_at(now, LOCAL_DRAM_GIB);
         self.racks[my_rack].tick_local_demand += desired_slabs;
 
         // 1. Grow the lease: local rack first (full manager semantics,
@@ -604,14 +573,13 @@ impl FleetState {
                     self.cross_grants += 1;
                     obs::counter_add("fleet/cross_rack_grants", 1);
                 }
-                self.hosts[h].grow_window(r, got, slab_bytes);
+                self.hosts[h].grow_window(r, got);
                 want -= got;
             }
             // Revocation victims drain through the tier migration path.
             for notice in resp.revocations {
                 let v = notice.host.0;
-                let Some((take, ready_at)) = self.hosts[v].revoke(r, notice.slabs, slab_bytes, now)
-                else {
+                let Some((take, ready_at)) = self.hosts[v].revoke(r, notice.slabs, now) else {
                     continue;
                 };
                 if self.host_racks[v] != r {
@@ -638,12 +606,12 @@ impl FleetState {
             if g == 0 {
                 continue;
             }
-            let min_keep = self.hosts[h].used_slabs(r, slab_bytes).min(g);
+            let min_keep = self.hosts[h].used_slabs(r).min(g);
             let back = (g - min_keep).min(excess);
             if back == 0 {
                 continue;
             }
-            self.hosts[h].shrink_window(r, g - back, slab_bytes, now);
+            self.hosts[h].shrink_window(r, g - back, now);
             if r != my_rack {
                 self.racks[r].lent_slabs = self.racks[r].lent_slabs.saturating_sub(back);
             }
@@ -675,7 +643,7 @@ impl FleetState {
         self.peak_outstanding_slabs = self.peak_outstanding_slabs.max(self.outstanding_slabs());
         // Lend controllers: sample local demand every tick, retune the
         // cap every control period.
-        let retune = self.ticks.is_multiple_of(self.cfg.control_period_steps);
+        let retune = self.ticks.is_multiple_of(CONTROL_PERIOD_STEPS);
         for rack in &mut self.racks {
             rack.local_demand.push(rack.tick_local_demand as f64);
             rack.tick_local_demand = 0;
@@ -683,7 +651,7 @@ impl FleetState {
                 let reserve = rack
                     .local_demand
                     .value()
-                    .map(|d| (d * self.cfg.lend_reserve).ceil() as u64)
+                    .map(|d| (d * LEND_RESERVE).ceil() as u64)
                     .unwrap_or(0);
                 rack.lend_cap = rack.manager.total_slabs().saturating_sub(reserve);
                 self.min_lend_cap = self.min_lend_cap.min(rack.lend_cap);
@@ -706,7 +674,7 @@ impl FleetState {
     fn into_report(self, plan: &FleetPlan) -> FleetReport {
         let cfg = &self.cfg;
         let dynamic_total_gib =
-            (cfg.hosts() as u64 * cfg.local_dram_gib + cfg.racks as u64 * cfg.rack_pool_gib) as f64;
+            (cfg.hosts() as u64 * LOCAL_DRAM_GIB + cfg.racks as u64 * cfg.rack_pool_gib) as f64;
         let demand = DemandSummary::of(&self.hosts, self.host_steps, cfg.horizon, cfg.step);
         // Idle latencies from a pristine rack-0 host: the fabric's
         // intra- vs cross-rack price as the perf model solves it.
@@ -737,7 +705,7 @@ impl FleetState {
         FleetReport {
             racks: cfg.racks,
             hosts_per_rack: cfg.hosts_per_rack,
-            local_dram_gib: cfg.local_dram_gib,
+            local_dram_gib: LOCAL_DRAM_GIB,
             rack_pool_gib: cfg.rack_pool_gib,
             placement: plan.class_counts(cfg.racks),
             dynamic_total_gib,
@@ -838,6 +806,7 @@ fn step_once(eng: &mut Engine<FleetState>, step: SimTime, horizon: SimTime) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cxl_topology::{CABLE_NS, SPINE_HOP_NS, TOR_HOP_NS};
 
     #[test]
     fn smoke_run_is_deterministic() {
@@ -915,8 +884,7 @@ mod tests {
         assert_eq!(r.cross_hops, 3);
         // The solved idle latency prices the exact extra path:
         // spine hop + two cables + one extra ToR hop.
-        let cfg = FleetConfig::smoke();
-        let extra = cfg.tor_hop_ns + cfg.spine_hop_ns + 2.0 * cfg.cable_ns;
+        let extra = TOR_HOP_NS + SPINE_HOP_NS + 2.0 * CABLE_NS;
         assert!(
             (r.cross_idle_read_ns - r.intra_idle_read_ns - extra).abs() < 1e-9,
             "intra {} cross {} extra {}",
@@ -969,7 +937,7 @@ mod tests {
     fn lend_controllers_reserve_headroom_under_local_demand() {
         let r = run(&FleetConfig::smoke());
         let cfg = FleetConfig::smoke();
-        let rack_slabs = cfg.rack_pool_gib / cfg.slab_gib;
+        let rack_slabs = cfg.rack_pool_gib / SLAB_GIB;
         // Racks see steady local demand, so the EWMA reserve must have
         // pulled at least one published cap below the full pool.
         assert!(

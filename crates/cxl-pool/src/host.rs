@@ -13,6 +13,31 @@ use crate::demand::DemandProcess;
 
 pub(crate) const GIB: u64 = 1 << 30;
 
+/// Lease granularity of both sims, GiB per slab.
+pub(crate) const SLAB_GIB: u64 = 1;
+
+/// One slab, bytes.
+const SLAB_BYTES: u64 = SLAB_GIB * GIB;
+
+/// Simulated page size of both sims, bytes: coarse (64 MiB) so a
+/// terabyte-scale fleet stays tractable; the studied behaviour is
+/// granularity-invariant.
+const PAGE_BYTES: u64 = 64 * 1024 * 1024;
+
+/// SLO percentile of both sims: the static baseline provisions each
+/// host's DRAM at this percentile of its demand, and pooling is judged
+/// at the same SLO.
+pub const SLO_PERCENTILE: f64 = 0.99;
+
+/// Compaction threshold of every pool manager in both sims (see
+/// [`crate::PoolManager::new`]).
+pub(crate) const DEFRAG_THRESHOLD: f64 = 0.5;
+
+const _: () = assert!(
+    SLAB_GIB > 0 && SLAB_BYTES.is_multiple_of(PAGE_BYTES),
+    "slab size must be a whole number of pages"
+);
+
 /// DRAM node id on every pooled host.
 pub const DRAM_NODE: NodeId = NodeId(0);
 
@@ -59,25 +84,23 @@ impl PooledHost {
     /// Builds a host on `topo` whose pages fill the nodes of `bind` in
     /// order: DRAM first, then every window. SSD spill is on, every
     /// window starts at zero capacity, and the static baseline
-    /// provisions the demand's `slo_percentile` over `horizon`, sampled
+    /// provisions the demand's [`SLO_PERCENTILE`] over `horizon`, sampled
     /// every `step`.
     pub(crate) fn new(
         topo: Topology,
         bind: Vec<NodeId>,
-        page_bytes: u64,
         demand: DemandProcess,
         horizon: SimTime,
         step: SimTime,
-        slo_percentile: f64,
     ) -> Self {
         let windows = bind.len() - 1;
         let mut tier_cfg = TierConfig::bind(bind);
-        tier_cfg.page_size = page_bytes;
+        tier_cfg.page_size = PAGE_BYTES;
         tier_cfg.allow_ssd_spill = true;
         // Grants grow the windows from zero.
         tier_cfg.capacity_override = (0..windows).map(|w| (window_node(w), 0)).collect();
         let tier = TierManager::new(&topo, tier_cfg);
-        let static_cap_gib = demand.percentile(horizon, step, slo_percentile);
+        let static_cap_gib = demand.percentile(horizon, step, SLO_PERCENTILE);
         Self {
             topo,
             tier,
@@ -97,17 +120,11 @@ impl PooledHost {
 
     /// The working set at `now` in pages, and the slabs it needs beyond
     /// `local_dram_gib` of DRAM.
-    pub(crate) fn demand_at(
-        &self,
-        now: SimTime,
-        local_dram_gib: u64,
-        slab_bytes: u64,
-    ) -> (u64, u64) {
-        let page_bytes = self.tier.page_size();
+    pub(crate) fn demand_at(&self, now: SimTime, local_dram_gib: u64) -> (u64, u64) {
         let ws_gib = self.demand.working_set_gib(now);
-        let target_pages = ((ws_gib * GIB as f64) / page_bytes as f64).ceil() as u64;
-        let excess_bytes = (target_pages * page_bytes).saturating_sub(local_dram_gib * GIB);
-        (target_pages, excess_bytes.div_ceil(slab_bytes))
+        let target_pages = ((ws_gib * GIB as f64) / PAGE_BYTES as f64).ceil() as u64;
+        let excess_bytes = (target_pages * PAGE_BYTES).saturating_sub(local_dram_gib * GIB);
+        (target_pages, excess_bytes.div_ceil(SLAB_BYTES))
     }
 
     /// Tracks the working set: allocates growth up to `target_pages`,
@@ -129,25 +146,19 @@ impl PooledHost {
     }
 
     /// Adds `slabs` granted slabs to window `w`.
-    pub(crate) fn grow_window(&mut self, w: usize, slabs: u64, slab_bytes: u64) {
+    pub(crate) fn grow_window(&mut self, w: usize, slabs: u64) {
         self.granted[w] += slabs;
         self.tier
-            .grow_node(window_node(w), self.granted[w] * slab_bytes)
+            .grow_node(window_node(w), self.granted[w] * SLAB_BYTES)
             .expect("window node exists");
     }
 
     /// Shrinks window `w` to `keep` slabs, draining the overflow to the
     /// other nodes or to SSD.
-    pub(crate) fn shrink_window(
-        &mut self,
-        w: usize,
-        keep: u64,
-        slab_bytes: u64,
-        now: SimTime,
-    ) -> EvacuationReport {
+    pub(crate) fn shrink_window(&mut self, w: usize, keep: u64, now: SimTime) -> EvacuationReport {
         let report = self
             .tier
-            .shrink_node(window_node(w), keep * slab_bytes, now)
+            .shrink_node(window_node(w), keep * SLAB_BYTES, now)
             .expect("SSD spill is enabled");
         self.granted[w] = keep;
         report
@@ -156,24 +167,18 @@ impl PooledHost {
     /// Takes up to `slabs` of window `w` back for a revocation. Returns
     /// the slabs taken and when their drain completes, or `None` when
     /// the host holds nothing there.
-    pub(crate) fn revoke(
-        &mut self,
-        w: usize,
-        slabs: u64,
-        slab_bytes: u64,
-        now: SimTime,
-    ) -> Option<(u64, SimTime)> {
+    pub(crate) fn revoke(&mut self, w: usize, slabs: u64, now: SimTime) -> Option<(u64, SimTime)> {
         let take = slabs.min(self.granted[w]);
         if take == 0 {
             return None;
         }
-        let report = self.shrink_window(w, self.granted[w] - take, slab_bytes, now);
+        let report = self.shrink_window(w, self.granted[w] - take, now);
         Some((take, now.max(report.completed_at)))
     }
 
     /// Slabs window `w`'s resident pages occupy.
-    pub(crate) fn used_slabs(&self, w: usize, slab_bytes: u64) -> u64 {
-        (self.tier.node_usage(window_node(w)).0 * self.tier.page_size()).div_ceil(slab_bytes)
+    pub(crate) fn used_slabs(&self, w: usize) -> u64 {
+        (self.tier.node_usage(window_node(w)).0 * PAGE_BYTES).div_ceil(SLAB_BYTES)
     }
 
     /// SSD-resident pages (all live pages not on a node).

@@ -38,6 +38,7 @@ pub mod sim;
 pub use address::{Extent, PoolAddressSpace};
 pub use demand::{DemandConfig, DemandProcess};
 pub use fleet::{FleetConfig, FleetHost, FleetPlan, FleetReport, HostSpec, WorkloadClass};
+pub use host::SLO_PERCENTILE;
 pub use lease::{HostId, Lease, LeaseId};
 pub use manager::{Grant, GrantOutcome, PoolManager, PoolStats, RequestResponse, RevocationNotice};
 pub use sim::{run, PoolSimConfig, PoolSimReport, DRAM_NODE, POOL_NODE};

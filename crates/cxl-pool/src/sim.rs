@@ -26,7 +26,10 @@ use cxl_topology::{NodeId, SocketId, Topology};
 use serde::Serialize;
 
 use crate::demand::{DemandConfig, DemandProcess};
-use crate::host::{window_node, DemandSummary, EvacuationTally, PooledHost, GIB};
+use crate::host::{
+    window_node, DemandSummary, EvacuationTally, PooledHost, DEFRAG_THRESHOLD, SLAB_GIB,
+    SLO_PERCENTILE,
+};
 use crate::lease::HostId;
 use crate::manager::{Grant, PoolManager, PoolStats};
 
@@ -38,7 +41,15 @@ pub const POOL_NODE: NodeId = window_node(POOL);
 /// The pool window's index among a host's lease windows.
 const POOL: usize = 0;
 
+/// Switch round-trip added to pooled accesses, ns.
+const SWITCH_HOP_NS: f64 = 70.0;
+
 /// Configuration of one pooling simulation.
+///
+/// Every host draws its own trace from [`DemandConfig::default`], and
+/// every pooled access pays the switch hop `SWITCH_HOP_NS`. The slab and
+/// page sizes, the SLO percentile and the compaction threshold are the
+/// constants both pooling sims share.
 #[derive(Debug, Clone, Serialize)]
 pub struct PoolSimConfig {
     /// Hosts sharing the pool.
@@ -47,25 +58,10 @@ pub struct PoolSimConfig {
     pub local_dram_gib: u64,
     /// Shared pool capacity, GiB.
     pub pool_gib: u64,
-    /// Lease granularity, GiB per slab.
-    pub slab_gib: u64,
-    /// Switch round-trip added to pooled accesses, ns.
-    pub switch_hop_ns: f64,
-    /// Simulated page size in bytes — coarse (64 MiB) so a terabyte-scale
-    /// fleet stays tractable; the studied behaviour is granularity-
-    /// invariant.
-    pub page_bytes: u64,
-    /// Per-host demand process (each host draws its own trace).
-    pub demand: DemandConfig,
     /// Simulated duration.
     pub horizon: SimTime,
     /// Control-loop tick.
     pub step: SimTime,
-    /// SLO percentile the static deployment provisions for (and the
-    /// pool is judged against).
-    pub slo_percentile: f64,
-    /// Pool compaction threshold (see [`PoolManager::new`]).
-    pub defrag_threshold: f64,
     /// When set, the pool expander dies at this time: mass revocation,
     /// every host evacuates its pooled pages.
     pub fault_at: Option<SimTime>,
@@ -79,14 +75,8 @@ impl Default for PoolSimConfig {
             hosts: 8,
             local_dram_gib: 256,
             pool_gib: 768,
-            slab_gib: 1,
-            switch_hop_ns: 70.0,
-            page_bytes: 64 * 1024 * 1024,
-            demand: DemandConfig::default(),
             horizon: SimTime::from_secs(120),
             step: SimTime::from_ms(100),
-            slo_percentile: 0.99,
-            defrag_threshold: 0.5,
             fault_at: None,
             seed: 42,
         }
@@ -172,28 +162,22 @@ pub struct PoolSimReport {
 impl PoolState {
     fn new(cfg: &PoolSimConfig) -> Self {
         assert!(cfg.hosts > 0, "pool sim needs at least one host");
-        assert!(cfg.slab_gib > 0 && cfg.pool_gib >= cfg.slab_gib);
-        assert!(
-            cfg.page_bytes > 0 && (cfg.slab_gib * GIB).is_multiple_of(cfg.page_bytes),
-            "slab size must be a whole number of pages"
-        );
-        let manager =
-            PoolManager::new(cfg.pool_gib / cfg.slab_gib, cfg.hosts, cfg.defrag_threshold);
+        assert!(cfg.pool_gib >= SLAB_GIB);
+        let manager = PoolManager::new(cfg.pool_gib / SLAB_GIB, cfg.hosts, DEFRAG_THRESHOLD);
+        let demand = DemandConfig::default();
         let hosts = (0..cfg.hosts)
             .map(|h| {
                 PooledHost::new(
-                    Topology::pooled_host(cfg.local_dram_gib, cfg.pool_gib, cfg.switch_hop_ns),
+                    Topology::pooled_host(cfg.local_dram_gib, cfg.pool_gib, SWITCH_HOP_NS),
                     vec![DRAM_NODE, POOL_NODE],
-                    cfg.page_bytes,
                     DemandProcess::generate(
-                        &cfg.demand,
+                        &demand,
                         cfg.seed,
                         &format!("pool-host{h}"),
                         cfg.horizon,
                     ),
                     cfg.horizon,
                     cfg.step,
-                    cfg.slo_percentile,
                 )
             })
             .collect();
@@ -207,10 +191,6 @@ impl PoolState {
         }
     }
 
-    fn slab_bytes(&self) -> u64 {
-        self.cfg.slab_gib * GIB
-    }
-
     /// One control-loop pass for host `h`. Returns deferred lease
     /// releases — `(victim, slabs, ready_at)` — for drains whose
     /// reclaimed capacity becomes grantable only once the rate-limited
@@ -218,9 +198,7 @@ impl PoolState {
     fn host_tick(&mut self, h: usize, now: SimTime) -> Vec<(HostId, u64, SimTime)> {
         let mut deferred = Vec::new();
         let hid = HostId(h);
-        let slab_bytes = self.slab_bytes();
-        let (target_pages, desired_slabs) =
-            self.hosts[h].demand_at(now, self.cfg.local_dram_gib, slab_bytes);
+        let (target_pages, desired_slabs) = self.hosts[h].demand_at(now, self.cfg.local_dram_gib);
 
         // 1. Grow the lease before allocating, so burst pages land on
         //    the pool window instead of spilling.
@@ -229,12 +207,12 @@ impl PoolState {
             let resp = self.manager.request(hid, desired_slabs - granted, now);
             let got = resp.outcome.granted_now();
             if got > 0 {
-                self.hosts[h].grow_window(POOL, got, slab_bytes);
+                self.hosts[h].grow_window(POOL, got);
             }
             // Revocation victims drain through the tier migration path.
             for notice in resp.revocations {
                 let victim = &mut self.hosts[notice.host.0];
-                if let Some((take, ready_at)) = victim.revoke(POOL, notice.slabs, slab_bytes, now) {
+                if let Some((take, ready_at)) = victim.revoke(POOL, notice.slabs, now) {
                     deferred.push((notice.host, take, ready_at));
                 }
             }
@@ -248,9 +226,9 @@ impl PoolState {
         // 3. Hand back lease the demand no longer needs.
         let granted = self.hosts[h].granted[POOL];
         if desired_slabs < granted {
-            let keep = desired_slabs.max(self.hosts[h].used_slabs(POOL, slab_bytes));
+            let keep = desired_slabs.max(self.hosts[h].used_slabs(POOL));
             if keep < granted {
-                self.hosts[h].shrink_window(POOL, keep, slab_bytes, now);
+                self.hosts[h].shrink_window(POOL, keep, now);
                 if !self.manager.is_offline() {
                     let grants = self.manager.release(hid, granted - keep, now);
                     self.apply_grants(&grants, now);
@@ -262,10 +240,9 @@ impl PoolState {
 
     /// Applies deferred grants delivered by the manager.
     fn apply_grants(&mut self, grants: &[Grant], now: SimTime) {
-        let slab_bytes = self.slab_bytes();
         for g in grants {
             let host = &mut self.hosts[g.host.0];
-            host.grow_window(POOL, g.slabs, slab_bytes);
+            host.grow_window(POOL, g.slabs);
             host.reload_ssd(now);
         }
     }
@@ -307,11 +284,11 @@ impl PoolState {
             .map(|i| traces.iter().map(|t| (t[i] - local).max(0.0)).sum())
             .collect();
         aggregate.sort_by(|a, b| a.partial_cmp(b).expect("finite demand"));
-        let ideal_pool_gib = cxl_stats::nearest_rank(&aggregate, cfg.slo_percentile);
+        let ideal_pool_gib = cxl_stats::nearest_rank(&aggregate, SLO_PERCENTILE);
         let stats = self.manager.stats().clone();
         // Idle latencies from the pristine host topology: what the
         // switch hop costs every pooled access.
-        let pooled = Topology::pooled_host(cfg.local_dram_gib, cfg.pool_gib, cfg.switch_hop_ns);
+        let pooled = Topology::pooled_host(cfg.local_dram_gib, cfg.pool_gib, SWITCH_HOP_NS);
         let direct = Topology::pooled_host(cfg.local_dram_gib, cfg.pool_gib, 0.0);
         let mix = AccessMix::read_only();
         let pool_idle_read_ns =
@@ -330,7 +307,7 @@ impl PoolState {
             host_steps: self.host_steps,
             mean_wait_ms: stats.mean_wait_ns() / 1e6,
             max_wait_ms: stats.max_wait_ns as f64 / 1e6,
-            peak_pool_used_gib: (stats.peak_used_slabs * cfg.slab_gib) as f64,
+            peak_pool_used_gib: (stats.peak_used_slabs * SLAB_GIB) as f64,
             stats,
             evac_pages_moved: self.evacuation.moved,
             evac_pages_to_ssd: self.evacuation.to_ssd,
@@ -415,7 +392,7 @@ mod tests {
         assert!(r.demand_std_gib > 0.0);
         // The switch hop is visible end-to-end in the perf model.
         assert!(
-            (r.pool_idle_read_ns - r.direct_idle_read_ns - 70.0).abs() < 1e-9,
+            (r.pool_idle_read_ns - r.direct_idle_read_ns - SWITCH_HOP_NS).abs() < 1e-9,
             "pool {} vs direct {}",
             r.pool_idle_read_ns,
             r.direct_idle_read_ns

@@ -121,6 +121,34 @@ pub struct TenantConfig {
     pub slo_p99_ms: f64,
 }
 
+/// The autoscaler grows a tenant's lease one rung when its EWMA backlog
+/// exceeds this many requests per worker.
+pub(crate) const GROW_BACKLOG_PER_WORKER: f64 = 2.0;
+
+/// It shrinks the lease one rung when the EWMA backlog falls below this
+/// many requests per worker.
+pub(crate) const SHRINK_BACKLOG_PER_WORKER: f64 = 0.5;
+
+/// Panic threshold: above this EWMA backlog per worker the lease jumps
+/// straight to the top rung instead of climbing one rung per tick. A
+/// fault-sized backlog excursion is not a gentle ramp — paying
+/// rung-by-rung cooldowns through it bleeds p99 for seconds while the
+/// signal is already unambiguous.
+pub(crate) const PANIC_BACKLOG_PER_WORKER: f64 = 8.0;
+
+/// Ticks a tenant's lease stays on cooldown after a change.
+pub(crate) const COOLDOWN_TICKS: u32 = 2;
+
+/// Smoothing factor of every tenant's backlog EWMA.
+pub(crate) const BACKLOG_EWMA_ALPHA: f64 = 0.4;
+
+// Hysteresis needs shrink < grow, and the panic jump sits above growth.
+const _: () = assert!(
+    SHRINK_BACKLOG_PER_WORKER < GROW_BACKLOG_PER_WORKER
+        && GROW_BACKLOG_PER_WORKER < PANIC_BACKLOG_PER_WORKER
+);
+const _: () = assert!(0.0 < BACKLOG_EWMA_ALPHA && BACKLOG_EWMA_ALPHA <= 1.0);
+
 /// Autoscaler configuration (present = adaptive leasing, absent =
 /// static provisioning).
 ///
@@ -130,29 +158,17 @@ pub struct TenantConfig {
 /// backlog per tenant. Unlike the autotune study's hill climber — which
 /// probes an *unknown* objective — the serving layer tracks a *known*
 /// signal (backlog per worker), so the policy here is deterministic
-/// threshold tracking with hysteresis and a per-tenant cooldown.
+/// threshold tracking with hysteresis and a per-tenant cooldown. Its
+/// backlog thresholds (`GROW_BACKLOG_PER_WORKER`,
+/// `SHRINK_BACKLOG_PER_WORKER`, `PANIC_BACKLOG_PER_WORKER`), its
+/// cooldown (`COOLDOWN_TICKS`) and its EWMA factor
+/// (`BACKLOG_EWMA_ALPHA`) are constants of this module.
 #[derive(Debug, Clone, Serialize)]
 pub struct AutoscaleConfig {
     /// Control-loop tick period.
     pub period: SimTime,
     /// Lease ladder in pool slabs (monotone, starts at 0).
     pub ladder: Vec<u64>,
-    /// Grow one rung when EWMA backlog exceeds this many requests per
-    /// worker.
-    pub grow_backlog_per_worker: f64,
-    /// Shrink one rung when EWMA backlog falls below this many requests
-    /// per worker (hysteresis: must be < grow threshold).
-    pub shrink_backlog_per_worker: f64,
-    /// Panic threshold: when EWMA backlog per worker exceeds this, jump
-    /// straight to the top rung instead of climbing one rung per tick.
-    /// A fault-sized backlog excursion is not a gentle ramp — paying
-    /// rung-by-rung cooldowns through it bleeds p99 for seconds while
-    /// the signal is already unambiguous. Must be > the grow threshold.
-    pub panic_backlog_per_worker: f64,
-    /// Ticks a tenant's lease stays on cooldown after a change.
-    pub cooldown_ticks: u32,
-    /// EWMA smoothing factor for the backlog signal.
-    pub ewma_alpha: f64,
 }
 
 impl Default for AutoscaleConfig {
@@ -160,11 +176,6 @@ impl Default for AutoscaleConfig {
         Self {
             period: SimTime::from_ms(250),
             ladder: vec![0, 1, 2, 4, 6, 8],
-            grow_backlog_per_worker: 2.0,
-            shrink_backlog_per_worker: 0.5,
-            panic_backlog_per_worker: 8.0,
-            cooldown_ticks: 2,
-            ewma_alpha: 0.4,
         }
     }
 }
@@ -286,14 +297,6 @@ impl ServeConfig {
             assert!(
                 a.ladder.windows(2).all(|w| w[0] < w[1]),
                 "autoscale ladder must be strictly increasing"
-            );
-            assert!(
-                a.shrink_backlog_per_worker < a.grow_backlog_per_worker,
-                "hysteresis requires shrink threshold < grow threshold"
-            );
-            assert!(
-                a.panic_backlog_per_worker > a.grow_backlog_per_worker,
-                "panic threshold must sit above the grow threshold"
             );
         }
     }

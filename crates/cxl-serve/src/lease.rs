@@ -8,7 +8,7 @@
 
 use cxl_ctl::CtlError;
 use cxl_fault::FaultKind;
-use cxl_kv::{KvConfig, KvStore};
+use cxl_kv::{KvConfig, KvStore, VALUE_SIZE};
 use cxl_pool::{HostId, PoolManager};
 use cxl_sim::SimTime;
 use cxl_tier::{AllocPolicy, HotPageConfig, MigrationMode, TierConfig};
@@ -45,7 +45,7 @@ impl LeasedKv {
         seed: u64,
     ) -> Self {
         let topo = Topology::paper_testbed(SncMode::Disabled);
-        let dataset_bytes = record_count * 1024;
+        let dataset_bytes = record_count * VALUE_SIZE;
         let dram_bytes = dataset_bytes * dram.0 / dram.1;
         let fixed_bytes = dataset_bytes * fixed.0 / fixed.1;
         let mut tc = TierConfig::bind(vec![DRAM0]);

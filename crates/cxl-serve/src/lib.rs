@@ -100,7 +100,6 @@ mod tests {
             autoscale: Some(AutoscaleConfig {
                 period: SimTime::from_ms(150),
                 ladder: vec![0, 1, 2, 4],
-                ..AutoscaleConfig::default()
             }),
             static_lease_slabs: 0,
             fault_at: None,

@@ -39,7 +39,10 @@ use cxl_topology::{MemoryTier, Topology};
 use cxl_ycsb::Workload;
 
 use crate::arrival::generate_arrivals;
-use crate::config::{ServeConfig, TenantClass, TenantConfig};
+use crate::config::{
+    ServeConfig, TenantClass, TenantConfig, BACKLOG_EWMA_ALPHA, COOLDOWN_TICKS,
+    GROW_BACKLOG_PER_WORKER, PANIC_BACKLOG_PER_WORKER, SHRINK_BACKLOG_PER_WORKER,
+};
 use crate::lease::{self, LeasedKv};
 
 // ---------------------------------------------------------------------
@@ -216,7 +219,7 @@ impl ServeWorld {
                     peak_slabs: 0,
                     rung: 0,
                     cooldown: 0,
-                    backlog: Ewma::new(cfg.autoscale.as_ref().map_or(0.4, |a| a.ewma_alpha)),
+                    backlog: Ewma::new(BACKLOG_EWMA_ALPHA),
                     arrivals: 0,
                     served: 0,
                     shed: 0,
@@ -436,18 +439,10 @@ fn on_complete(e: &mut Engine<ServeWorld>, ti: usize, arrived: SimTime) {
 fn autoscale_tick(e: &mut Engine<ServeWorld>) {
     let now = e.now();
     let n = e.state().tenants.len();
-    let cooldown = e
-        .state()
-        .cfg
-        .autoscale
-        .as_ref()
-        .expect("tick only runs adaptive")
-        .cooldown_ticks;
     for ti in 0..n {
         let decision = {
             let w = e.state_mut();
             w.clock = now;
-            let a = w.cfg.autoscale.as_ref().expect("tick only runs adaptive");
             let t = &mut w.tenants[ti];
             t.backlog.push((t.queue.len() + t.busy) as f64);
             if t.cooldown > 0 {
@@ -458,12 +453,12 @@ fn autoscale_tick(e: &mut Engine<ServeWorld>) {
                 let per_worker = ew / t.cfg.workers as f64;
                 let rung = t.rung;
                 let top = w.ladder.len() - 1;
-                if per_worker > a.panic_backlog_per_worker && rung < top {
+                if per_worker > PANIC_BACKLOG_PER_WORKER && rung < top {
                     // Fault-sized excursion: skip the ladder walk.
                     Some(top)
-                } else if per_worker > a.grow_backlog_per_worker && rung < top {
+                } else if per_worker > GROW_BACKLOG_PER_WORKER && rung < top {
                     Some(rung + 1)
-                } else if per_worker < a.shrink_backlog_per_worker && rung > 0 {
+                } else if per_worker < SHRINK_BACKLOG_PER_WORKER && rung > 0 {
                     Some(rung - 1)
                 } else {
                     None
@@ -475,7 +470,7 @@ fn autoscale_tick(e: &mut Engine<ServeWorld>) {
         if w.set_lease(ti, w.ladder[target]).is_ok() {
             let t = &mut w.tenants[ti];
             t.rung = target;
-            t.cooldown = cooldown;
+            t.cooldown = COOLDOWN_TICKS;
         } else {
             // Contention for the shared pool is normal operation: count
             // it and retry on a later tick.

@@ -39,6 +39,15 @@ use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
+/// Top-of-rack switch port-to-port latency of [`Fabric::rack_spine`], ns.
+pub const TOR_HOP_NS: f64 = 70.0;
+
+/// Spine switch port-to-port latency of [`Fabric::rack_spine`], ns.
+pub const SPINE_HOP_NS: f64 = 90.0;
+
+/// ToR↔spine cable latency of [`Fabric::rack_spine`], ns.
+pub const CABLE_NS: f64 = 20.0;
+
 /// Index of a switch inside a [`Fabric`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct SwitchId(pub usize);
@@ -273,24 +282,18 @@ impl Fabric {
     /// with `hosts_per_rack` host ports (`"rack{r}/host{h}"`) and one
     /// pooled device port (`"rack{r}/pool"`), all cabled to one spine
     /// switch. Intra-rack paths traverse only the ToR (one hop,
-    /// `tor_hop_ns`); cross-rack paths pay
-    /// `2·tor_hop_ns + spine_hop_ns + 2·cable_ns`.
+    /// [`TOR_HOP_NS`]); cross-rack paths pay
+    /// `2·TOR_HOP_NS + SPINE_HOP_NS + 2·CABLE_NS`.
     ///
     /// # Panics
-    /// Panics on zero racks/hosts or invalid latencies.
-    pub fn rack_spine(
-        racks: usize,
-        hosts_per_rack: usize,
-        tor_hop_ns: f64,
-        spine_hop_ns: f64,
-        cable_ns: f64,
-    ) -> Self {
+    /// Panics on zero racks/hosts.
+    pub fn rack_spine(racks: usize, hosts_per_rack: usize) -> Self {
         assert!(racks > 0 && hosts_per_rack > 0, "empty fleet fabric");
         let mut f = Self::new();
-        let spine = f.add_switch("spine", spine_hop_ns);
+        let spine = f.add_switch("spine", SPINE_HOP_NS);
         for r in 0..racks {
-            let tor = f.add_switch(format!("rack{r}/tor"), tor_hop_ns);
-            f.link_switches(tor, spine, cable_ns);
+            let tor = f.add_switch(format!("rack{r}/tor"), TOR_HOP_NS);
+            f.link_switches(tor, spine, CABLE_NS);
             f.attach_device(format!("rack{r}/pool"), tor);
             for h in 0..hosts_per_rack {
                 f.attach_host(format!("rack{r}/host{h}"), tor);
@@ -317,13 +320,16 @@ mod tests {
 
     #[test]
     fn rack_spine_cross_rack_pays_strictly_more() {
-        let f = Fabric::rack_spine(2, 4, 70.0, 90.0, 20.0);
+        let f = Fabric::rack_spine(2, 4);
         let intra = f.path("rack0/host0", "rack0/pool").expect("intra");
         let cross = f.path("rack0/host0", "rack1/pool").expect("cross");
         assert_eq!(intra.hops(), 1);
-        assert_eq!(intra.latency_ns, 70.0);
+        assert_eq!(intra.latency_ns, TOR_HOP_NS);
         assert_eq!(cross.hops(), 3);
-        assert_eq!(cross.latency_ns, 70.0 + 20.0 + 90.0 + 20.0 + 70.0);
+        assert_eq!(
+            cross.latency_ns,
+            TOR_HOP_NS + CABLE_NS + SPINE_HOP_NS + CABLE_NS + TOR_HOP_NS
+        );
         assert!(cross.latency_ns > intra.latency_ns);
         // Symmetric for the far rack's hosts.
         let far = f.path("rack1/host3", "rack0/pool").expect("far");

@@ -30,7 +30,10 @@ pub mod socket;
 
 pub use builder::TopologyBuilder;
 pub use device::{CxlDevice, DdrGeneration, PcieLink};
-pub use fabric::{validate_hop_ns, Fabric, FabricLink, FabricPath, FabricSwitch, SwitchId};
+pub use fabric::{
+    validate_hop_ns, Fabric, FabricLink, FabricPath, FabricSwitch, SwitchId, CABLE_NS,
+    SPINE_HOP_NS, TOR_HOP_NS,
+};
 pub use health::DeviceHealth;
 pub use node::{MemoryTier, NodeId, NumaNode};
 pub use socket::{Socket, SocketId, UpiLink};
@@ -355,7 +358,7 @@ mod tests {
 
     #[test]
     fn fleet_host_prices_each_window_at_its_path_latency() {
-        let fabric = Fabric::rack_spine(2, 4, 70.0, 90.0, 20.0);
+        let fabric = Fabric::rack_spine(2, 4);
         let near = fabric.path_latency_ns("rack0/host0", "rack0/pool").unwrap();
         let far = fabric.path_latency_ns("rack0/host0", "rack1/pool").unwrap();
         let t = Topology::fleet_host(
@@ -370,8 +373,11 @@ mod tests {
         assert_eq!(nodes[0].tier, MemoryTier::LocalDram);
         let near_dev = t.cxl_device(nodes[1].id).expect("near window");
         let far_dev = t.cxl_device(nodes[2].id).expect("far window");
-        assert_eq!(near_dev.switch_hop_ns, 70.0);
-        assert_eq!(far_dev.switch_hop_ns, 270.0);
+        assert_eq!(near_dev.switch_hop_ns, TOR_HOP_NS);
+        assert_eq!(
+            far_dev.switch_hop_ns,
+            2.0 * TOR_HOP_NS + SPINE_HOP_NS + 2.0 * CABLE_NS
+        );
         assert!(far_dev.switch_hop_ns > near_dev.switch_hop_ns);
     }
 

@@ -8,7 +8,7 @@
 //! inside the handler while the store keeps serving.
 
 use cxl_repro::fault::{install, FaultEvent, FaultKind, FaultSchedule};
-use cxl_repro::kv::{KvConfig, KvStore};
+use cxl_repro::kv::{KvConfig, KvStore, VALUE_SIZE};
 use cxl_repro::sim::{Engine, SimTime};
 use cxl_repro::tier::{AllocPolicy, Location, TierConfig};
 use cxl_repro::topology::{NodeId, SncMode, Topology};
@@ -29,7 +29,7 @@ struct World {
 
 fn build_world() -> World {
     let topo = Topology::paper_testbed(SncMode::Disabled);
-    let dataset_bytes = RECORDS * 1024;
+    let dataset_bytes = RECORDS * VALUE_SIZE;
     let mut tc = TierConfig::bind(vec![DRAM0]);
     tc.policy = AllocPolicy::interleave(vec![DRAM0], vec![CXL0], 1, 1);
     // DRAM cannot absorb a full evacuation: the offline fault must
@@ -65,7 +65,7 @@ fn react(world: &mut World, ev: &FaultEvent) {
                 .expect("evacuation survives with flash on");
         }
         FaultKind::CapacityLoss { node, remaining } => {
-            let cap = RECORDS * 1024;
+            let cap = RECORDS * VALUE_SIZE;
             let new_cap = (cap as f64 * remaining) as u64;
             world
                 .store
