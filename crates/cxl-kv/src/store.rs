@@ -229,6 +229,9 @@ pub struct KvStore {
     /// manager hands out dense ids it never reuses, so data page `i` is
     /// `PageId(i)` and no directory is kept.
     referenced: Vec<bool>,
+    /// log2 of the tier's page size, which `TierManager` keeps a power
+    /// of two: a key's page index is a shift, not a 64-bit division.
+    page_shift: u32,
     flash: bool,
     now: SimTime,
     /// Op streams opened so far (runs, open-loop runs and serving
@@ -274,6 +277,7 @@ impl KvStore {
             ring.extend(pages.filter(resident));
         }
         tm.drain_epoch(); // Discard load-phase traffic.
+        let page_shift = tm.page_size().trailing_zeros();
         let lfu = flash && cfg.eviction == EvictionPolicy::Lfu;
         let cfg_seed = cfg.seed;
         Self {
@@ -281,6 +285,7 @@ impl KvStore {
             cfg,
             ring,
             referenced: vec![false; n_pages as usize],
+            page_shift,
             flash,
             now: SimTime::ZERO,
             runs: 0,
@@ -387,8 +392,9 @@ impl KvStore {
         self.now
     }
 
+    /// `key * VALUE_SIZE / page_size`: the page holding `key`'s value.
     fn page_index_of_key(&self, key: u64) -> usize {
-        ((key * VALUE_SIZE) / self.tier().page_size()) as usize
+        ((key * VALUE_SIZE) >> self.page_shift) as usize
     }
 
     /// Data pages allocated so far.
@@ -775,7 +781,7 @@ impl KvStore {
 
         for i in 0..ops {
             let op = source.next().expect("the op source holds the run's ops");
-            let arrival = arrivals.next(i, start);
+            let arrival = arrivals.next(start);
             // `self.now` is the tiering clock and must stay monotone: the
             // tier manager's rate limiter and recency tracking observe
             // it. Concurrent clients complete out of order, and epoch
@@ -784,7 +790,7 @@ impl KvStore {
             self.now = self.now.max(arrival);
             let (service_ns, hit_ssd) = self.service_op(op);
             let completion = servers.submit(arrival, SimTime::from_ns_f64(service_ns));
-            arrivals.completed(i, completion.finish);
+            arrivals.completed(completion.finish);
             let sojourn = completion.sojourn(arrival).as_ns();
             latency.record(sojourn);
             if !op.is_write() {
@@ -822,9 +828,14 @@ impl KvStore {
 
 /// Where the ops of one run arrive from.
 enum Arrivals {
-    /// Closed-loop clients, op `i` issued by client `i mod n` once that
-    /// client's previous op completed.
-    Closed(Vec<SimTime>),
+    /// Closed-loop clients, op `i` of the run issued by client `i mod n`
+    /// once that client's previous op completed. `cursor` is that client:
+    /// it starts at 0 with each run and wraps, so finding the client
+    /// takes no division.
+    Closed {
+        clients: Vec<SimTime>,
+        cursor: usize,
+    },
     /// Open-loop Poisson arrivals: exponential gaps, summed in seconds.
     Open {
         rng: SmallRng,
@@ -834,15 +845,19 @@ enum Arrivals {
 }
 
 impl Arrivals {
-    /// `clients` closed-loop clients, all idle.
+    /// `clients` closed-loop clients, all idle, the first to issue next.
     fn closed(clients: usize) -> Self {
-        Arrivals::Closed(vec![SimTime::ZERO; clients])
+        Arrivals::Closed {
+            clients: vec![SimTime::ZERO; clients],
+            cursor: 0,
+        }
     }
 
-    /// Arrival instant of op `i` of a run that started at `start`.
-    fn next(&mut self, i: u64, start: SimTime) -> SimTime {
+    /// Arrival instant of the run's next op, for a run that started at
+    /// `start`.
+    fn next(&mut self, start: SimTime) -> SimTime {
         match self {
-            Arrivals::Closed(clients) => clients[i as usize % clients.len()].max(start),
+            Arrivals::Closed { clients, cursor } => clients[*cursor].max(start),
             Arrivals::Open { rng, gap, at_s } => {
                 *at_s += gap.sample(rng);
                 SimTime::from_secs_f64(*at_s)
@@ -850,11 +865,14 @@ impl Arrivals {
         }
     }
 
-    /// Records that op `i` completed at `finish`.
-    fn completed(&mut self, i: u64, finish: SimTime) {
-        if let Arrivals::Closed(clients) = self {
-            let n = clients.len();
-            clients[i as usize % n] = finish;
+    /// Records that the op the last `next` issued completed at `finish`.
+    fn completed(&mut self, finish: SimTime) {
+        if let Arrivals::Closed { clients, cursor } = self {
+            clients[*cursor] = finish;
+            *cursor += 1;
+            if *cursor == clients.len() {
+                *cursor = 0;
+            }
         }
     }
 }
@@ -904,6 +922,45 @@ mod tests {
     }
 
     const OPS: u64 = 60_000;
+
+    #[test]
+    fn page_index_is_the_division_at_every_page_size() {
+        for page_size in [512, 4 << 10, 64 << 10, 512 << 10, 2 << 20, 64 << 20] {
+            let mut tc = TierConfig::bind(vec![DRAM0]);
+            tc.page_size = page_size;
+            let s = KvStore::new(&topo(), tc, kv_cfg(), false);
+            for key in 0..s.cfg.record_count {
+                assert_eq!(
+                    s.page_index_of_key(key) as u64,
+                    key * VALUE_SIZE / page_size,
+                    "{page_size} B pages, key {key}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn closed_loop_op_i_is_issued_by_client_i_mod_n() {
+        // Op `i` completes at a distinct instant, so the arrival of op
+        // `i + n` shows which client issued op `i`.
+        let n = CLIENT_CONCURRENCY;
+        let start = SimTime::from_ns(7);
+        let finish = |i: usize| SimTime::from_ns(1_000 + i as u64);
+        // Every run builds its clients afresh, so two runs in a row
+        // both start at client 0.
+        for run in 0..2 {
+            let mut arrivals = Arrivals::closed(n);
+            for i in 0..3 * n + 5 {
+                let Arrivals::Closed { cursor, .. } = &arrivals else {
+                    unreachable!("closed-loop arrivals")
+                };
+                assert_eq!(*cursor, i % n, "run {run}, op {i}");
+                let want = if i < n { start } else { finish(i - n) };
+                assert_eq!(arrivals.next(start), want, "run {run}, op {i}");
+                arrivals.completed(finish(i));
+            }
+        }
+    }
 
     #[test]
     fn mmem_beats_interleave_beats_ssd() {

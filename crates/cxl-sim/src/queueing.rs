@@ -70,14 +70,18 @@ impl MultiServer {
     }
 
     /// Submits a request arriving at `arrival` requiring `service` time;
-    /// it is assigned to the earliest-free server.
+    /// it is assigned to the earliest-free server, the lowest-numbered
+    /// one among ties.
+    #[inline]
     pub fn submit(&mut self, arrival: SimTime, service: SimTime) -> Completion {
-        let (server, &free_at) = self
-            .busy_until
-            .iter()
-            .enumerate()
-            .min_by_key(|&(i, &t)| (t, i))
-            .expect("at least one server");
+        // A strict `<` keeps the first minimum, so the scan picks what
+        // `min_by_key(|(i, t)| (t, i))` would, without the tuple compare.
+        let (mut server, mut free_at) = (0, self.busy_until[0]);
+        for (i, &t) in self.busy_until.iter().enumerate().skip(1) {
+            if t < free_at {
+                (server, free_at) = (i, t);
+            }
+        }
         let start = free_at.max(arrival);
         let finish = start + service;
         self.busy_until[server] = finish;

@@ -31,9 +31,10 @@ impl Rw {
 /// Configuration of a [`TierManager`].
 #[derive(Debug, Clone)]
 pub struct TierConfig {
-    /// Simulated page size in bytes. The kernel migrates 4 KiB pages;
-    /// large experiments may coarsen this to keep page counts tractable
-    /// (behaviour is granularity-invariant for the studied policies).
+    /// Simulated page size in bytes, a power of two. The kernel
+    /// migrates 4 KiB pages; large experiments may coarsen this to keep
+    /// page counts tractable (behaviour is granularity-invariant for the
+    /// studied policies).
     pub page_size: u64,
     /// Placement policy for new pages.
     pub policy: AllocPolicy,
@@ -167,12 +168,12 @@ pub struct TierManager {
     promo_candidates_period: u64,
     next_adjust: SimTime,
     epoch: TrafficEpoch,
-    /// Per-node application byte accumulators (indexed by node id),
-    /// folded into `epoch` on drain. Touching is the hottest path in
-    /// the workspace; a dense array add beats a `BTreeMap` entry walk
-    /// per access by an order of magnitude.
-    node_reads: Vec<u64>,
-    node_writes: Vec<u64>,
+    /// Per-node application bytes `[read, written]` (indexed by node
+    /// id, then by `is_write`), folded into `epoch` on drain. Touching
+    /// is the hottest path in the workspace; a dense array add beats a
+    /// `BTreeMap` entry walk per access by an order of magnitude, and
+    /// indexing by direction needs no read/write branch.
+    node_bytes: Vec<[u64; 2]>,
     stats: TierStats,
     /// Each drain's rate-limited duration, ns.
     evacuation_ns: Vec<u64>,
@@ -195,12 +196,19 @@ impl TierManager {
     }
 
     /// Builds a manager for a topology, rejecting invalid
-    /// configurations: a topology of `u16::MAX` or more nodes (page
+    /// configurations: a page size that is not a power of two (zero
+    /// included), a topology of `u16::MAX` or more nodes (page
     /// locations are packed into 16 bits), a policy referencing nodes
     /// missing from the topology, a demotion watermark outside
     /// `(0, 1]`, or an inconsistent bandwidth-aware migration config
     /// (see [`crate::BandwidthAwareConfig::validate`]).
     pub fn try_new(topo: &Topology, cfg: TierConfig) -> Result<Self, TierError> {
+        if !cfg.page_size.is_power_of_two() {
+            return Err(TierError::InvalidConfig(format!(
+                "page size must be a power of two, not {} bytes",
+                cfg.page_size
+            )));
+        }
         if !(cfg.demotion_watermark > 0.0 && cfg.demotion_watermark <= 1.0) {
             return Err(TierError::InvalidConfig(format!(
                 "watermark out of range: {} not in (0, 1]",
@@ -303,8 +311,7 @@ impl TierManager {
             promo_candidates_period: 0,
             next_adjust: SimTime::ZERO,
             epoch: TrafficEpoch::default(),
-            node_reads: vec![0; node_count],
-            node_writes: vec![0; node_count],
+            node_bytes: vec![[0; 2]; node_count],
             stats: TierStats::default(),
             evacuation_ns: Vec::new(),
             dram_bw_util: 0.0,
@@ -316,11 +323,7 @@ impl TierManager {
     /// Folded into the public [`TrafficEpoch`] on [`Self::drain_epoch`].
     #[inline]
     fn record_node_access(&mut self, node: NodeId, bytes: u64, is_write: bool) {
-        if is_write {
-            self.node_writes[node.0] += bytes;
-        } else {
-            self.node_reads[node.0] += bytes;
-        }
+        self.node_bytes[node.0][is_write as usize] += bytes;
     }
 
     /// Enables event tracing with a bounded ring of `capacity` events.
@@ -1165,16 +1168,14 @@ impl TierManager {
     /// Drains and returns the traffic accumulated since the last drain.
     pub fn drain_epoch(&mut self) -> TrafficEpoch {
         let mut e = std::mem::take(&mut self.epoch);
-        for (i, b) in self.node_reads.iter_mut().enumerate() {
-            if *b > 0 {
-                *e.node_read_bytes.entry(NodeId(i)).or_insert(0) += *b;
-                *b = 0;
-            }
-        }
-        for (i, b) in self.node_writes.iter_mut().enumerate() {
-            if *b > 0 {
-                *e.node_write_bytes.entry(NodeId(i)).or_insert(0) += *b;
-                *b = 0;
+        for (i, [read, written]) in self.node_bytes.iter_mut().enumerate() {
+            for (b, map) in [
+                (read, &mut e.node_read_bytes),
+                (written, &mut e.node_write_bytes),
+            ] {
+                if *b > 0 {
+                    *map.entry(NodeId(i)).or_insert(0) += std::mem::take(b);
+                }
             }
         }
         e
@@ -1867,6 +1868,20 @@ mod tests {
         assert_eq!(ids, (0..8).map(PageId).collect::<Vec<_>>());
         assert_eq!(tm.location(ids[6]), Location::Node(DRAM0));
         assert_eq!(tm.location(ids[7]), Location::Node(CXL0));
+    }
+
+    #[test]
+    fn page_size_must_be_a_power_of_two() {
+        for bad in [0, 3_000] {
+            let mut cfg = TierConfig::bind(vec![DRAM0]);
+            cfg.page_size = bad;
+            let err = TierManager::try_new(&topo(), cfg).expect_err("page size accepted");
+            assert!(matches!(err, TierError::InvalidConfig(_)), "{err:?}");
+            assert!(
+                err.to_string().contains(&format!("not {bad} bytes")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
