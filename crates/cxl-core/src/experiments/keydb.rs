@@ -205,11 +205,6 @@ fn record_runs(workload: Workload, params: Fig5Params) -> (Option<OpTrace>, OpTr
     (warmup, measured)
 }
 
-/// Runs the full Fig. 5 grid on the environment-configured runner.
-pub fn run(params: Fig5Params) -> KeydbStudy {
-    run_with(&Runner::from_env(), params)
-}
-
 /// Runs the full Fig. 5 grid on an explicit runner.
 ///
 /// The paper runs the same YCSB stream against every Table 1
@@ -301,7 +296,7 @@ mod tests {
             warmup_ops: 0,
             seed: 1,
         };
-        let study = run(p);
+        let study = run_with(&Runner::from_env(), p);
         assert_eq!(study.cells.len(), 28);
         let a = study.fig5a();
         assert_eq!(a.series.len(), 4);

@@ -43,13 +43,8 @@ pub struct LatencySummary {
     pub cxl_remote_peak_gbps: f64,
 }
 
-/// Runs the full §3 characterization on the paper's SNC-4 testbed with
-/// the environment-configured runner.
-pub fn run() -> LatencyStudy {
-    run_with(&Runner::from_env())
-}
-
-/// Runs the full §3 characterization on an explicit runner. Panels are
+/// Runs the full §3 characterization on the paper's SNC-4 testbed, on an
+/// explicit runner. Panels are
 /// independent analytic sweeps over one shared [`MemSystem`].
 pub fn run_with(runner: &Runner) -> LatencyStudy {
     let sys = MemSystem::new(&Topology::paper_testbed(SncMode::Snc4));
@@ -111,7 +106,7 @@ mod tests {
 
     #[test]
     fn study_covers_all_panels() {
-        let s = run();
+        let s = run_with(&Runner::from_env());
         assert_eq!(s.fig3.len(), 4);
         assert_eq!(s.fig4.len(), 6);
         assert_eq!(s.fig4_random.len(), 2);
@@ -119,7 +114,7 @@ mod tests {
 
     #[test]
     fn summary_matches_paper_numbers() {
-        let s = run().summary;
+        let s = run_with(&Runner::from_env()).summary;
         assert!((s.mmem_idle_ns - 97.0).abs() < 1.0);
         assert!((s.mmem_remote_idle_ns - 130.0).abs() < 2.0);
         assert!((s.cxl_idle_ns - 250.42).abs() < 2.0);

@@ -98,13 +98,8 @@ impl LlmStudy {
     }
 }
 
-/// Runs the Fig. 10 sweeps on the §5.1 platform with the
-/// environment-configured runner.
-pub fn run() -> LlmStudy {
-    run_with(&Runner::from_env())
-}
-
-/// Runs the Fig. 10 sweeps on an explicit runner. All three sweeps are
+/// Runs the Fig. 10 sweeps on the §5.1 platform, on an explicit runner.
+/// All three sweeps are
 /// analytic; the placement sweep (the expensive one) parallelizes per
 /// placement, the single-backend scans per point.
 pub fn run_with(runner: &Runner) -> LlmStudy {
@@ -131,7 +126,7 @@ mod tests {
 
     #[test]
     fn study_shape() {
-        let s = run();
+        let s = run_with(&Runner::from_env());
         assert_eq!(s.serving.len(), 4);
         for (_, pts) in &s.serving {
             assert_eq!(pts.len(), 8);
@@ -143,7 +138,7 @@ mod tests {
 
     #[test]
     fn headline_comparisons() {
-        let s = run();
+        let s = run_with(&Runner::from_env());
         // 3:1 beats MMEM by ~95 % at 60 threads.
         let gain = s.rate("3:1", 60) / s.rate("MMEM", 60) - 1.0;
         assert!((0.7..=1.25).contains(&gain), "gain {gain}");

@@ -29,12 +29,6 @@ pub fn paper_configs() -> Vec<ClusterConfig> {
     ]
 }
 
-/// Runs every configuration over Q5/Q7/Q8/Q9 on the
-/// environment-configured runner.
-pub fn run() -> SparkStudy {
-    run_with(&Runner::from_env())
-}
-
 /// Runs every configuration over Q5/Q7/Q8/Q9 on an explicit runner.
 /// The query model is analytic (no randomness), so each configuration
 /// is an independent cell.
@@ -131,7 +125,7 @@ mod tests {
 
     #[test]
     fn full_grid_runs() {
-        let s = run();
+        let s = run_with(&Runner::from_env());
         assert_eq!(s.configs.len(), 7);
         for (_, rs) in &s.configs {
             assert_eq!(rs.len(), 4);
@@ -140,7 +134,7 @@ mod tests {
 
     #[test]
     fn normalized_band_matches_paper() {
-        let s = run();
+        let s = run_with(&Runner::from_env());
         // §4.2.2: interleave slowdowns 1.4x–9.8x.
         let mut min = f64::INFINITY;
         let mut max = 0.0f64;
@@ -159,7 +153,7 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        let s = run();
+        let s = run_with(&Runner::from_env());
         let a = s.fig7a();
         assert_eq!(a.rows.len(), 7);
         assert!(a.render().contains("Q9"));

@@ -172,12 +172,6 @@ fn run_binding(topo: &Topology, on_cxl: bool, params: Fig8Params) -> (f64, Histo
     (r.throughput_ops, r.read_latency)
 }
 
-/// Runs the Fig. 8 comparison and the §4.3 revenue arithmetic on the
-/// environment-configured runner.
-pub fn run(params: Fig8Params) -> VmStudy {
-    run_with(&Runner::from_env(), params)
-}
-
 /// Runs the Fig. 8 comparison on an explicit runner. Both bindings
 /// deliberately replay the same seed — the experiment compares one
 /// workload trace across placements — so the cells are independent and
@@ -203,11 +197,14 @@ mod tests {
     use super::*;
 
     fn study() -> VmStudy {
-        run(Fig8Params {
-            record_count: 50_000,
-            ops: 60_000,
-            seed: 42,
-        })
+        run_with(
+            &Runner::from_env(),
+            Fig8Params {
+                record_count: 50_000,
+                ops: 60_000,
+                seed: 42,
+            },
+        )
     }
 
     #[test]

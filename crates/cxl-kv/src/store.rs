@@ -20,7 +20,7 @@ use cxl_tier::{
     EvacuationReport, Location, PageId, PricedTier, Rw, TierConfig, TierError, TierManager,
     TierStats,
 };
-use cxl_topology::{NodeId, Topology};
+use cxl_topology::{MemoryTier, NodeId, Topology};
 use cxl_ycsb::{Generator, GeneratorConfig, Op, OpTrace, Workload};
 use rand::rngs::SmallRng;
 
@@ -208,6 +208,57 @@ impl RunResult {
     }
 }
 
+/// Per-access latency histograms, indexed by where the access landed.
+const ACCESS_METRICS: [&str; 3] = ["kv/access_ns/mmem", "kv/access_ns/cxl", "kv/access_ns/ssd"];
+
+/// The index of SSD accesses in [`ACCESS_METRICS`].
+const SSD_ACCESS: usize = 2;
+
+/// Where each page access landed and what it cost, kept by the store
+/// and handed to `cxl-obs` once, when the store drops: one histogram per
+/// [`ACCESS_METRICS`] entry, and the SSD histogram's count as
+/// `kv/ssd_hits`. A run or serving request records here only if it
+/// began with a registry [`cxl_obs::active`]; the histograms are
+/// allocated at the first such start. The tally has its own `Drop`, so
+/// `KvStore` has none.
+#[derive(Default)]
+struct AccessTally {
+    /// Whether the current run or request records.
+    on: bool,
+    /// Access latencies, ns, indexed like [`ACCESS_METRICS`]; empty
+    /// until a run or request records.
+    ns: Vec<Histogram>,
+}
+
+impl AccessTally {
+    /// Starts a run or serving request: it records while a registry
+    /// is active. The one `cxl-obs` call of a run before its end.
+    fn start(&mut self) {
+        self.on = cxl_obs::active();
+        if self.on && self.ns.is_empty() {
+            self.ns = vec![Histogram::new(); ACCESS_METRICS.len()];
+        }
+    }
+}
+
+impl Drop for AccessTally {
+    /// Adds exactly the keys and values one call per access would have
+    /// left; touches `cxl-obs` not at all when nothing was recorded.
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            return;
+        }
+        for (name, h) in ACCESS_METRICS.iter().zip(&self.ns) {
+            if h.count() > 0 {
+                cxl_obs::merge(name, h);
+            }
+        }
+        if let Some(ssd) = self.ns.get(SSD_ACCESS).filter(|h| h.count() > 0) {
+            cxl_obs::counter_add("kv/ssd_hits", ssd.count());
+        }
+    }
+}
+
 /// Persistent generator session for the queue-fed serving entry point
 /// ([`KvStore::service_request`]): requests trickle in one at a time,
 /// but the op stream must stay one continuous deterministic YCSB trace.
@@ -245,6 +296,7 @@ pub struct KvStore {
     ops_since_decay: u64,
     /// Live serving session, if a `service_request` stream is open.
     serve: Option<ServeSession>,
+    access: AccessTally,
 }
 
 impl KvStore {
@@ -300,6 +352,7 @@ impl KvStore {
             },
             ops_since_decay: 0,
             serve: None,
+            access: AccessTally::default(),
         }
     }
 
@@ -570,18 +623,15 @@ impl KvStore {
                 }
             }
         }
-        if cxl_obs::active() {
-            let metric = match outcome.location {
-                Location::Ssd => "kv/access_ns/ssd",
+        if self.access.on {
+            let landed = match outcome.location {
+                Location::Ssd => SSD_ACCESS,
                 Location::Node(node) => match self.mem.system().node(node).tier {
-                    cxl_topology::MemoryTier::LocalDram => "kv/access_ns/mmem",
-                    cxl_topology::MemoryTier::CxlExpander => "kv/access_ns/cxl",
+                    MemoryTier::LocalDram => 0,
+                    MemoryTier::CxlExpander => 1,
                 },
             };
-            cxl_obs::record(metric, ns as u64);
-            if hit_ssd {
-                cxl_obs::counter_add("kv/ssd_hits", 1);
-            }
+            self.access.ns[landed].record(ns as u64);
         }
         (ns, hit_ssd)
     }
@@ -693,6 +743,7 @@ impl KvStore {
     /// [`run_open_loop`]: KvStore::run_open_loop
     pub fn service_request(&mut self, now: SimTime, workload: Workload, ops: u64) -> SimTime {
         assert!(ops > 0, "a request must carry at least one op");
+        self.access.start();
         self.now = self.now.max(now);
         let fresh = !matches!(&self.serve, Some(s) if s.workload == workload);
         if fresh {
@@ -773,10 +824,13 @@ impl KvStore {
         ops: u64,
         mut arrivals: Arrivals,
     ) -> RunResult {
+        self.access.start();
         let start = self.now;
         let mut servers = MultiServer::new(SERVER_THREADS);
-        let mut latency = Histogram::new();
-        let mut read_latency = Histogram::new();
+        // Sojourns of reads and of writes, indexed by `is_write`: each
+        // op is recorded once, and the two merge into `latency` at the
+        // end.
+        let mut sojourns = [Histogram::new(), Histogram::new()];
         let mut ssd_hits = 0u64;
 
         for i in 0..ops {
@@ -791,11 +845,7 @@ impl KvStore {
             let (service_ns, hit_ssd) = self.service_op(op);
             let completion = servers.submit(arrival, SimTime::from_ns_f64(service_ns));
             arrivals.completed(completion.finish);
-            let sojourn = completion.sojourn(arrival).as_ns();
-            latency.record(sojourn);
-            if !op.is_write() {
-                read_latency.record(sojourn);
-            }
+            sojourns[op.is_write() as usize].record(completion.sojourn(arrival).as_ns());
             if hit_ssd {
                 ssd_hits += 1;
             }
@@ -807,6 +857,10 @@ impl KvStore {
 
         self.now = servers.makespan().max(self.now);
         self.mem.reprice(self.now);
+        // Bucket counts, count and total add and min and max combine, so
+        // the merge equals recording every op into one histogram.
+        let [read_latency, mut latency] = sojourns;
+        latency.merge(&read_latency);
         cxl_obs::merge("kv/op_sojourn_ns", &latency);
         let duration = self.now.saturating_sub(start);
         let throughput = if duration > SimTime::ZERO {
@@ -1212,6 +1266,78 @@ mod tests {
         assert!(ra.latency.count() == OPS && rc.latency.count() == OPS);
         assert!(ra.read_latency.count() < ra.latency.count());
         assert_eq!(rc.read_latency.count(), rc.latency.count());
+    }
+
+    /// 64-bit FNV-1a of every field of `h`: bucket counts, count,
+    /// total, min and max.
+    fn histogram_digest(h: &Histogram) -> u64 {
+        format!("{h:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |d, b| {
+                (d ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn each_op_latency_is_recorded_once_and_merged() {
+        // Digests of `latency` and `read_latency` taken when the run
+        // recorded every op into `latency` and every read again into
+        // `read_latency`. YCSB-C has no writes, so its merged histogram
+        // is the reads' alone; YCSB-D inserts.
+        for (w, want) in [
+            (Workload::A, [0x0878_99e0_ab48_dac4, 0x2475_5b84_127b_9a89]),
+            (Workload::C, [0xe042_3d90_d948_ae61, 0xe042_3d90_d948_ae61]),
+            (Workload::D, [0x38b1_db49_a31c_43af, 0x696c_38b7_33ef_60d8]),
+        ] {
+            let r = interleaved_store(1, 1).run(w, 20_000);
+            assert_eq!(r.latency.count(), 20_000, "{w:?}");
+            let got = [
+                histogram_digest(&r.latency),
+                histogram_digest(&r.read_latency),
+            ];
+            assert_eq!(got, want, "{w:?}: {got:#018x?}");
+            if w == Workload::C {
+                assert_eq!(r.latency, r.read_latency);
+            }
+        }
+    }
+
+    #[test]
+    fn an_untraced_run_hands_over_nothing() {
+        let mut s = mmem_store();
+        s.run(Workload::A, 5_000);
+        // Dropped inside a scope, the store has nothing to hand over:
+        // its run began with no registry active.
+        let reg = std::sync::Arc::new(cxl_obs::Registry::new());
+        {
+            let _scope = cxl_obs::scope(reg.clone());
+            drop(s);
+        }
+        assert!(reg.is_empty(), "{}", reg.export_sim_json());
+    }
+
+    #[test]
+    fn a_traced_store_hands_over_one_sample_per_page_access() {
+        // A flash store whose pages land on DRAM, on CXL and on SSD.
+        let cfg = kv_cfg();
+        let part = cfg.record_count * VALUE_SIZE * 2 / 5;
+        let mut tc = TierConfig::bind(vec![DRAM0]);
+        tc.policy = AllocPolicy::interleave(vec![DRAM0], vec![CXL0], 1, 1);
+        tc.capacity_override = vec![(DRAM0, part), (NodeId(1), 0), (CXL0, part), (NodeId(3), 0)];
+        let reg = std::sync::Arc::new(cxl_obs::Registry::new());
+        let r = {
+            let _scope = cxl_obs::scope(reg.clone());
+            let mut store = KvStore::new(&topo(), tc, cfg, true);
+            store.run(Workload::F, 5_000)
+        };
+        // A read-modify-write touches its page twice, any other op once.
+        let accesses = r.ops + reg.counter("ycsb/ops/rmw").expect("F draws RMWs");
+        let counts = ACCESS_METRICS.map(|m| reg.histogram(m).map_or(0, |h| h.count()));
+        assert!(counts.iter().all(|&c| c > 0), "{counts:?}");
+        assert_eq!(counts.iter().sum::<u64>(), accesses, "{counts:?}");
+        assert_eq!(reg.counter("kv/ssd_hits"), Some(counts[SSD_ACCESS]));
+        // An op that touched SSD twice is one SSD-hit op.
+        assert!(r.ssd_hits <= counts[SSD_ACCESS]);
     }
 
     #[test]

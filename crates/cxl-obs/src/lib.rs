@@ -34,8 +34,8 @@
 //! # Dispatch and the zero-cost no-op mode
 //!
 //! Instrumented crates call the free functions ([`counter_add`],
-//! [`record`], [`merge`], [`span`], …). Each call resolves its target
-//! registry:
+//! [`counter_max`], [`merge`], [`span`], …). Each call resolves its
+//! target registry:
 //!
 //! 1. a thread-scoped registry installed with [`scope`], if any —
 //!    always recording (tests use this for isolation; the experiment
@@ -49,17 +49,20 @@
 //!
 //! # Owners hand over totals once
 //!
-//! A count a layer already keeps in its own state is not recorded per
-//! event. The owner hands its totals to the registry current on its
-//! thread once, when it finishes: the tier manager (`TierStats`), the
-//! control-plane controller and the event engine when they drop, the
-//! serving and heap runs when they build their reports, and a KV run by
-//! [`merge`]-ing its latency histogram. A hand-off checks [`active`] at
-//! most once, does nothing while the thread is panicking, and adds
-//! exactly the keys and values the per-event calls would have, so
-//! exports do not depend on which way a count arrived. Per-event calls
-//! remain for metrics no layer keeps: per-access KV latencies, tier
-//! occupancy samples, pool and fault events, and the runner's cells.
+//! A count a layer keeps in its own state is not recorded per event.
+//! The owner hands its totals to the registry current on its thread
+//! once, when it finishes: the tier manager (`TierStats`, drain
+//! durations and occupancy samples), the pool manager, the KV store's
+//! per-access latencies, the control-plane controller and the event
+//! engine when they drop; the serving, heap and pooling runs when they
+//! build their reports; and a KV run by [`merge`]-ing its latency
+//! histogram. A hand-off checks [`active`] at most once, does nothing
+//! while the thread is panicking, and adds exactly the keys and values
+//! the per-event calls would have, so exports do not depend on which
+//! way a count arrived. Per-event calls remain only where nothing owns
+//! the count: fault injections, the runner's cells, two rare KV
+//! counters, the YCSB op counts (per block of generated ops) and the
+//! solver's wall-clock effort counters (per solve).
 //!
 //! # Examples
 //!
@@ -70,7 +73,7 @@
 //! {
 //!     let _guard = cxl_obs::scope(reg.clone());
 //!     cxl_obs::counter_add("tier/promotions", 3);
-//!     cxl_obs::record("kv/access_ns/mmem", 97);
+//!     cxl_obs::counter_max("sim/heap_depth_max", 12);
 //! }
 //! assert_eq!(reg.counter("tier/promotions"), Some(3));
 //! let json = reg.export_json();
@@ -182,19 +185,14 @@ pub fn gauge_set(name: &str, v: f64) {
     dispatch(|r| r.gauge_set(Class::Sim, name, v));
 }
 
-/// Records one sample into a deterministic histogram.
-pub fn record(name: &str, value: u64) {
-    dispatch(|r| r.record(Class::Sim, name, value));
-}
-
 /// Records one sample into a scheduling-dependent histogram.
-pub fn wall_record(name: &str, value: u64) {
+fn wall_record(name: &str, value: u64) {
     dispatch(|r| r.record(Class::Wall, name, value));
 }
 
 /// Adds every sample of `h` to a deterministic histogram, as one
-/// [`record`] per sample would: how an owner that keeps its own
-/// histogram hands it over. An empty `h` registers nothing.
+/// [`Registry::record`] per sample would: how an owner that keeps its
+/// own histogram hands it over. An empty `h` registers nothing.
 pub fn merge(name: &str, h: &cxl_stats::Histogram) {
     dispatch(|r| r.merge(Class::Sim, name, h));
 }
@@ -239,7 +237,11 @@ mod tests {
             let _g = scope(reg.clone());
             assert!(active());
             counter_add("test/scoped", 7);
-            record("test/scoped_hist", 42);
+            merge("test/scoped_hist", &{
+                let mut h = cxl_stats::Histogram::new();
+                h.record(42);
+                h
+            });
         }
         assert_eq!(reg.counter("test/scoped"), Some(7));
         assert_eq!(reg.histogram("test/scoped_hist").unwrap().count(), 1);

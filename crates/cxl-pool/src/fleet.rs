@@ -31,7 +31,6 @@
 //! ([`build_host`]) so a caller can shard the heavy work across
 //! workers and still get a bit-identical world.
 
-use cxl_obs as obs;
 use cxl_perf::{AccessMix, MemSystem};
 use cxl_sim::{Engine, SimTime};
 use cxl_stats::rng::stream_rng;
@@ -571,7 +570,6 @@ impl FleetState {
                 if r != my_rack {
                     self.racks[r].lent_slabs += got;
                     self.cross_grants += 1;
-                    obs::counter_add("fleet/cross_rack_grants", 1);
                 }
                 self.hosts[h].grow_window(r, got);
                 want -= got;
@@ -629,9 +627,7 @@ impl FleetState {
         self.ticks += 1;
         for (host, &my_rack) in self.hosts.iter_mut().zip(&self.host_racks) {
             self.host_steps += 1;
-            if host.account_step(now) {
-                obs::counter_add("fleet/slo_violation_host_steps", 1);
-            }
+            host.account_step(now);
             for (r, &g) in host.granted.iter().enumerate() {
                 if r == my_rack {
                     self.intra_slab_steps += g;
@@ -668,7 +664,6 @@ impl FleetState {
         }
         self.racks[rack].lent_slabs = 0;
         self.fault_fired = true;
-        obs::counter_add("fleet/rack_faults", 1);
     }
 
     fn into_report(self, plan: &FleetPlan) -> FleetReport {
@@ -676,6 +671,15 @@ impl FleetState {
         let dynamic_total_gib =
             (cfg.hosts() as u64 * LOCAL_DRAM_GIB + cfg.racks as u64 * cfg.rack_pool_gib) as f64;
         let demand = DemandSummary::of(&self.hosts, self.host_steps, cfg.horizon, cfg.step);
+        if demand.violation_steps > 0 {
+            cxl_obs::counter_add("fleet/slo_violation_host_steps", demand.violation_steps);
+        }
+        if self.cross_grants > 0 {
+            cxl_obs::counter_add("fleet/cross_rack_grants", self.cross_grants);
+        }
+        if self.fault_fired {
+            cxl_obs::counter_add("fleet/rack_faults", 1);
+        }
         // Idle latencies from a pristine rack-0 host: the fabric's
         // intra- vs cross-rack price as the perf model solves it.
         let probe = build_host(

@@ -232,22 +232,22 @@ impl PooledHost {
         self.granted[w] = 0;
     }
 
-    /// Per-step SLO accounting at `now`, after the step's adjustments.
-    /// Returns whether the host had pages on SSD (a dynamic SLO miss).
-    pub(crate) fn account_step(&mut self, now: SimTime) -> bool {
-        let missed = self.ssd_pages() > 0;
-        if missed {
+    /// Per-step SLO accounting at `now`, after the step's adjustments:
+    /// a step with pages on SSD is a dynamic SLO miss.
+    pub(crate) fn account_step(&mut self, now: SimTime) {
+        if self.ssd_pages() > 0 {
             self.violation_steps += 1;
         }
         if self.demand.working_set_gib(now) > self.static_cap_gib + 1e-9 {
             self.static_violation_steps += 1;
         }
-        missed
     }
 }
 
 /// The demand side of a pooling report, summed over the hosts.
 pub(crate) struct DemandSummary {
+    /// Host-steps with pages spilled to SSD.
+    pub(crate) violation_steps: u64,
     /// Memory static per-host provisioning installs: Σ percentiles.
     pub(crate) static_total_gib: f64,
     /// Fraction of host-steps with pages spilled to SSD.
@@ -278,6 +278,7 @@ impl DemandSummary {
             .collect();
         let n = moments.len() as f64;
         Self {
+            violation_steps,
             static_total_gib: hosts.iter().map(|h| h.static_cap_gib).sum(),
             dynamic_violation_frac: violation_steps as f64 / steps,
             static_violation_frac: static_violation_steps as f64 / steps,

@@ -12,8 +12,8 @@
 
 use std::collections::VecDeque;
 
-use cxl_obs as obs;
 use cxl_sim::SimTime;
+use cxl_stats::Histogram;
 use serde::Serialize;
 
 use crate::address::PoolAddressSpace;
@@ -89,7 +89,8 @@ pub struct RequestResponse {
 }
 
 /// Counters the manager accumulates over a run (local to one simulated
-/// pool, unlike the global `cxl-obs` registry).
+/// pool, unlike the global `cxl-obs` registry, which receives them when
+/// the manager drops).
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct PoolStats {
     /// Requests fully granted on the spot.
@@ -139,7 +140,10 @@ struct Waiter {
 }
 
 /// Arbitrates a fixed budget of pool slabs between hosts.
-#[derive(Debug, Clone)]
+///
+/// Dropping the manager hands its counts to the `cxl-obs` registry
+/// current on its thread, once (see the [`Drop`] impl).
+#[derive(Debug)]
 pub struct PoolManager {
     space: PoolAddressSpace,
     leases: Vec<Lease>,
@@ -152,6 +156,13 @@ pub struct PoolManager {
     defrag_threshold: f64,
     offline: bool,
     stats: PoolStats,
+    /// Grants that took more than one extent.
+    fragmented_grants: u64,
+    /// Each deferred grant's queue wait, ns; allocated with the first.
+    waits: Option<Histogram>,
+    /// Whether a request or release reached the fragmentation and
+    /// occupancy maxima (one that was not denied, or made while online).
+    observed: bool,
 }
 
 impl PoolManager {
@@ -172,6 +183,9 @@ impl PoolManager {
             defrag_threshold,
             offline: false,
             stats: PoolStats::default(),
+            fragmented_grants: 0,
+            waits: None,
+            observed: false,
         }
     }
 
@@ -243,7 +257,6 @@ impl PoolManager {
         let shortfall = slabs - granted;
         let outcome = if shortfall == 0 {
             self.stats.grants += 1;
-            obs::counter_add("pool/grants", 1);
             GrantOutcome::Granted { slabs: granted }
         } else {
             self.queue.push_back(Waiter {
@@ -253,10 +266,8 @@ impl PoolManager {
             });
             self.leases[host.0].pending_slabs += shortfall;
             self.stats.queued_requests += 1;
-            obs::counter_add("pool/queued", 1);
             if granted > 0 {
                 self.stats.partial_grants += 1;
-                obs::counter_add("pool/partial_grants", 1);
                 GrantOutcome::Partial {
                     granted,
                     queued: shortfall,
@@ -324,7 +335,6 @@ impl PoolManager {
                 lease.total_revoked_slabs += lease.granted_slabs;
                 self.stats.revoked_slabs += lease.granted_slabs;
                 self.stats.revocations += 1;
-                obs::counter_add("pool/revocations", 1);
             }
             self.space.release_all(lease.host.lease());
             lease.granted_slabs = 0;
@@ -334,7 +344,6 @@ impl PoolManager {
         self.reclaiming.iter_mut().for_each(|r| *r = 0);
         self.offline = true;
         self.stats.mass_revocations += 1;
-        obs::counter_add("pool/mass_revocations", 1);
         notices
     }
 
@@ -344,7 +353,7 @@ impl PoolManager {
         self.leases[host.0].granted_slabs += granted;
         self.leases[host.0].total_granted_slabs += granted;
         if extents.len() > 1 {
-            obs::counter_add("pool/fragmented_grants", 1);
+            self.fragmented_grants += 1;
         }
         granted
     }
@@ -367,7 +376,9 @@ impl PoolManager {
             self.stats.deferred_grants += 1;
             self.stats.total_wait_ns += waited.as_ns();
             self.stats.max_wait_ns = self.stats.max_wait_ns.max(waited.as_ns());
-            obs::record("pool/lease_wait_ns", waited.as_ns());
+            self.waits
+                .get_or_insert_with(Histogram::new)
+                .record(waited.as_ns());
             grants.push(Grant {
                 host,
                 slabs: give,
@@ -413,7 +424,6 @@ impl PoolManager {
             self.leases[host.0].total_revoked_slabs += take;
             self.stats.revocations += 1;
             self.stats.revoked_slabs += take;
-            obs::counter_add("pool/revocations", 1);
             notices.push(RevocationNotice { host, slabs: take });
             needed -= take;
         }
@@ -427,14 +437,12 @@ impl PoolManager {
     fn maybe_defrag(&mut self) {
         let frag = self.space.fragmentation();
         self.stats.peak_fragmentation = self.stats.peak_fragmentation.max(frag);
-        obs::counter_max("pool/frag_peak_permille", (frag * 1000.0) as u64);
+        self.observed = true;
         if frag > self.defrag_threshold {
             let moved = self.space.defrag();
             if moved > 0 {
                 self.stats.defrags += 1;
                 self.stats.defrag_slabs_moved += moved;
-                obs::counter_add("pool/defrags", 1);
-                obs::counter_add("pool/defrag_slabs_moved", moved);
             }
         }
     }
@@ -442,7 +450,48 @@ impl PoolManager {
     fn note_occupancy(&mut self) {
         let used = self.space.used_slabs();
         self.stats.peak_used_slabs = self.stats.peak_used_slabs.max(used);
-        obs::counter_max("pool/occupancy_peak_slabs", used);
+    }
+}
+
+impl Drop for PoolManager {
+    /// Hands the manager's totals to the current `cxl-obs` registry:
+    /// each nonzero count under `pool/<name>`, the queue waits as the
+    /// `pool/lease_wait_ns` histogram, and the fragmentation and
+    /// occupancy peaks once any request or release reached them, zero
+    /// included. These are the keys and values one call per event would
+    /// have left. A manager that saw only denied requests touches
+    /// `cxl-obs` not at all.
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            return;
+        }
+        let s = &self.stats;
+        for (name, n) in [
+            ("pool/grants", s.grants),
+            ("pool/partial_grants", s.partial_grants),
+            ("pool/queued", s.queued_requests),
+            ("pool/revocations", s.revocations),
+            ("pool/mass_revocations", s.mass_revocations),
+            ("pool/defrags", s.defrags),
+            ("pool/defrag_slabs_moved", s.defrag_slabs_moved),
+            ("pool/fragmented_grants", self.fragmented_grants),
+        ] {
+            if n > 0 {
+                cxl_obs::counter_add(name, n);
+            }
+        }
+        if let Some(waits) = &self.waits {
+            cxl_obs::merge("pool/lease_wait_ns", waits);
+        }
+        if self.observed {
+            // The float-to-integer cast is monotone, so the peak's
+            // permille is the largest permille any observation had.
+            cxl_obs::counter_max(
+                "pool/frag_peak_permille",
+                (s.peak_fragmentation * 1000.0) as u64,
+            );
+            cxl_obs::counter_max("pool/occupancy_peak_slabs", s.peak_used_slabs);
+        }
     }
 }
 

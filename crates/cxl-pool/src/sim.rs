@@ -19,7 +19,6 @@
 //! measure the capacity/SLO trade the paper's §7.1 pooling argument
 //! rests on.
 
-use cxl_obs as obs;
 use cxl_perf::{AccessMix, MemSystem};
 use cxl_sim::{Engine, SimTime};
 use cxl_topology::{NodeId, SocketId, Topology};
@@ -103,6 +102,8 @@ struct PoolState {
     host_steps: u64,
     evacuation: EvacuationTally,
     fault_fired: bool,
+    /// Most slabs queued at the end of any tick; `None` before the first.
+    queued_slabs_peak: Option<u64>,
 }
 
 /// Outcome of one pooling simulation.
@@ -188,6 +189,7 @@ impl PoolState {
             host_steps: 0,
             evacuation: EvacuationTally::default(),
             fault_fired: false,
+            queued_slabs_peak: None,
         }
     }
 
@@ -251,11 +253,10 @@ impl PoolState {
     fn account(&mut self, now: SimTime) {
         for host in &mut self.hosts {
             self.host_steps += 1;
-            if host.account_step(now) {
-                obs::counter_add("pool/slo_violation_host_steps", 1);
-            }
+            host.account_step(now);
         }
-        obs::counter_max("pool/queued_slabs_peak", self.manager.queued_slabs());
+        let queued = Some(self.manager.queued_slabs());
+        self.queued_slabs_peak = self.queued_slabs_peak.max(queued);
     }
 
     /// The pool expander dies: mass revocation + per-host evacuation.
@@ -265,13 +266,21 @@ impl PoolState {
             host.evacuate_window(POOL, now, &mut self.evacuation);
         }
         self.fault_fired = true;
-        obs::counter_add("pool/expander_faults", 1);
     }
 
     fn into_report(self) -> PoolSimReport {
         let cfg = &self.cfg;
         let dynamic_total_gib = (cfg.hosts as u64 * cfg.local_dram_gib + cfg.pool_gib) as f64;
         let demand = DemandSummary::of(&self.hosts, self.host_steps, cfg.horizon, cfg.step);
+        if demand.violation_steps > 0 {
+            cxl_obs::counter_add("pool/slo_violation_host_steps", demand.violation_steps);
+        }
+        if let Some(peak) = self.queued_slabs_peak {
+            cxl_obs::counter_max("pool/queued_slabs_peak", peak);
+        }
+        if self.fault_fired {
+            cxl_obs::counter_add("pool/expander_faults", 1);
+        }
         // Perfect-liquidity pool: the SLO percentile of per-tick
         // aggregate excess over the very traces the run replayed.
         let traces: Vec<Vec<f64>> = self

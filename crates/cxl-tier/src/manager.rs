@@ -3,6 +3,7 @@
 use std::collections::VecDeque;
 
 use cxl_sim::{SimTime, TokenBucket};
+use cxl_stats::Histogram;
 use cxl_topology::{MemoryTier, NodeId, SocketId, Topology};
 
 use crate::error::TierError;
@@ -177,6 +178,9 @@ pub struct TierManager {
     stats: TierStats,
     /// Each drain's rate-limited duration, ns.
     evacuation_ns: Vec<u64>,
+    /// Occupancy samples per node, in pages, one per tick that found a
+    /// `cxl-obs` registry active; empty until the first such tick.
+    occupancy: Vec<Histogram>,
     /// Last reported DRAM bandwidth utilization (set by the application
     /// layer from the performance model each epoch; §5.3 policy input).
     dram_bw_util: f64,
@@ -314,6 +318,7 @@ impl TierManager {
             node_bytes: vec![[0; 2]; node_count],
             stats: TierStats::default(),
             evacuation_ns: Vec::new(),
+            occupancy: Vec::new(),
             dram_bw_util: 0.0,
             trace: None,
         })
@@ -1031,19 +1036,20 @@ impl TierManager {
         .map(|n| n.id)
     }
 
-    /// Samples per-node occupancy into `tier/node{N}/occupancy_pages`
-    /// histograms, one point per tick. Ticks advance in simulated time,
-    /// so the sampled distribution is deterministic.
-    fn sample_occupancy(&self) {
+    /// Samples the occupancy of every node with capacity, one point per
+    /// tick, while a `cxl-obs` registry is active; the drop hands the
+    /// samples over as `tier/node{N}/occupancy_pages`. Ticks advance in
+    /// simulated time, so the sampled distribution is deterministic.
+    fn sample_occupancy(&mut self) {
         if !cxl_obs::active() {
             return;
         }
-        for n in &self.nodes {
+        if self.occupancy.is_empty() {
+            self.occupancy = vec![Histogram::new(); self.nodes.len()];
+        }
+        for (n, h) in self.nodes.iter().zip(&mut self.occupancy) {
             if n.capacity_pages > 0 {
-                cxl_obs::record(
-                    &format!("tier/node{}/occupancy_pages", n.id.0),
-                    n.used_pages,
-                );
+                h.record(n.used_pages);
             }
         }
     }
@@ -1186,8 +1192,9 @@ impl Drop for TierManager {
     /// Hands the manager's totals to the current `cxl-obs` registry:
     /// each nonzero [`TierStats`] count under `tier/<field>`, demotions
     /// split by socket, per-node promotion and demotion destinations,
-    /// and the drain counters and durations whenever a drain ran. These
-    /// are the keys and values one call per event would have left.
+    /// the drain counters and durations whenever a drain ran, and each
+    /// node's occupancy samples. These are the keys and values one call
+    /// per event would have left.
     ///
     /// A manager with nothing to hand over does not touch `cxl-obs`:
     /// a thread's first call there allocates, and building and dropping
@@ -1235,8 +1242,13 @@ impl Drop for TierManager {
             cxl_obs::counter_add("tier/evacuations", s.evacuations);
             cxl_obs::counter_add("tier/evacuated_pages", s.evacuated_pages);
             cxl_obs::counter_add("tier/evacuated_to_ssd", s.evacuated_to_ssd);
-            for &ns in &self.evacuation_ns {
-                cxl_obs::record("tier/evacuation_duration_ns", ns);
+            let mut drains = Histogram::new();
+            self.evacuation_ns.iter().for_each(|&ns| drains.record(ns));
+            cxl_obs::merge("tier/evacuation_duration_ns", &drains);
+        }
+        for (n, h) in self.nodes.iter().zip(&self.occupancy) {
+            if h.count() > 0 {
+                cxl_obs::merge(&format!("tier/node{}/occupancy_pages", n.id.0), h);
             }
         }
     }
@@ -2014,6 +2026,7 @@ mod tests {
         tm.tick(SimTime::from_ms(1));
         tm.alloc_n(3, SimTime::ZERO).unwrap();
         tm.tick(SimTime::from_ms(2));
+        drop(tm);
         drop(guard);
         let h = reg
             .histogram("tier/node0/occupancy_pages")

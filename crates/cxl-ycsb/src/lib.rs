@@ -225,8 +225,10 @@ impl Generator {
         }
     }
 
-    /// Draws the next operation.
-    pub fn next_op(&mut self) -> Op {
+    /// Draws the next operation and counts it, one `cxl-obs` call per
+    /// op: the reference [`Generator::batch`] is tested against.
+    #[cfg(test)]
+    fn next_op(&mut self) -> Op {
         let op = self.draw_op();
         cxl_obs::counter_add(OP_COUNTERS[op.kind()], 1);
         op
@@ -260,14 +262,11 @@ impl Generator {
         }
     }
 
-    /// Generates a batch of operations.
-    ///
-    /// Bit-identical to `n` [`Generator::next_op`] calls — the ops come
-    /// off the same RNG stream in the same order and the per-type obs
-    /// counters reach the same totals — but the counters are tallied
-    /// locally and flushed once per type per batch instead of once per
-    /// op, which removes the dominant constant from live op generation
-    /// (the `KvStore` run loops and serving sessions draw through it).
+    /// Generates the next `n` operations and adds them to the per-type
+    /// `ycsb/ops/*` counters, tallied locally and flushed once per type
+    /// per batch: drawing ops one at a time and counting each would give
+    /// the same stream and totals, with one `cxl-obs` call per op (the
+    /// `KvStore` run loops and serving sessions draw through here).
     pub fn batch(&mut self, n: usize) -> Vec<Op> {
         let mut ops = Vec::with_capacity(n);
         self.fill(&mut ops, n);

@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example paper_tour`
 
 use cxl_repro::core_api::experiments::{cost, keydb, latency, llm, spark, vm};
-use cxl_repro::core_api::CapacityConfig;
+use cxl_repro::core_api::{CapacityConfig, Runner};
 use cxl_repro::cost::RevenueModel;
 use cxl_repro::ycsb::Workload;
 
@@ -17,7 +17,7 @@ fn section(title: &str) {
 
 fn main() {
     section("§3 CXL 1.1 performance characteristics (Figs 3-4)");
-    let lat = latency::run().summary;
+    let lat = latency::run_with(&Runner::from_env()).summary;
     println!(
         "idle latency: MMEM {:.0} ns | MMEM-r {:.0} ns | CXL {:.0} ns | CXL-r {:.0} ns",
         lat.mmem_idle_ns, lat.mmem_remote_idle_ns, lat.cxl_idle_ns, lat.cxl_remote_idle_ns
@@ -40,7 +40,7 @@ fn main() {
     );
 
     section("§4.2 Spark TPC-H consolidation (Fig 7)");
-    let s = spark::run();
+    let s = spark::run_with(&Runner::from_env());
     print!("normalized exec time (vs 3 MMEM servers):");
     for cfg in ["3:1", "1:1", "1:3", "Hot-Promote"] {
         print!("  {cfg} {:.2}x", s.normalized(cfg, "Q9"));
@@ -48,11 +48,14 @@ fn main() {
     println!("  (Q9, two CXL servers)");
 
     section("§4.3 CXL-only instances + revenue (Fig 8)");
-    let v = vm::run(vm::Fig8Params {
-        record_count: 50_000,
-        ops: 60_000,
-        seed: 42,
-    });
+    let v = vm::run_with(
+        &Runner::from_env(),
+        vm::Fig8Params {
+            record_count: 50_000,
+            ops: 60_000,
+            seed: 42,
+        },
+    );
     let rev = RevenueModel::paper_example();
     println!(
         "CXL-only throughput loss {:.1}% | revenue uplift from selling stranded vCPUs {:.1}%",
@@ -61,7 +64,7 @@ fn main() {
     );
 
     section("§5 LLM inference over CXL bandwidth (Fig 10)");
-    let l = llm::run();
+    let l = llm::run_with(&Runner::from_env());
     println!(
         "at 60 threads: MMEM {:.0} tok/s vs 3:1 interleave {:.0} tok/s (+{:.0}%)",
         l.rate("MMEM", 60),

@@ -2,7 +2,7 @@
 //! for a fixed seed, and seeds actually matter.
 
 use cxl_repro::core_api::experiments::{keydb, llm, spark, vm};
-use cxl_repro::core_api::CapacityConfig;
+use cxl_repro::core_api::{CapacityConfig, Runner};
 use cxl_repro::ycsb::Workload;
 
 #[test]
@@ -32,8 +32,8 @@ fn keydb_seed_changes_the_run() {
 
 #[test]
 fn spark_is_deterministic() {
-    let a = spark::run();
-    let b = spark::run();
+    let a = spark::run_with(&Runner::from_env());
+    let b = spark::run_with(&Runner::from_env());
     for q in ["Q5", "Q7", "Q8", "Q9"] {
         assert_eq!(a.normalized("1:3", q), b.normalized("1:3", q));
     }
@@ -41,8 +41,8 @@ fn spark_is_deterministic() {
 
 #[test]
 fn llm_is_deterministic() {
-    let a = llm::run();
-    let b = llm::run();
+    let a = llm::run_with(&Runner::from_env());
+    let b = llm::run_with(&Runner::from_env());
     assert_eq!(a.rate("3:1", 60), b.rate("3:1", 60));
     assert_eq!(a.rate("MMEM", 72), b.rate("MMEM", 72));
 }
@@ -54,8 +54,8 @@ fn vm_study_is_deterministic() {
         ops: 30_000,
         seed: 9,
     };
-    let a = vm::run(p);
-    let b = vm::run(p);
+    let a = vm::run_with(&Runner::from_env(), p);
+    let b = vm::run_with(&Runner::from_env(), p);
     assert_eq!(a.mmem_throughput, b.mmem_throughput);
     assert_eq!(a.cxl_throughput, b.cxl_throughput);
 }

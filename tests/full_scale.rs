@@ -3,13 +3,13 @@
 //! Run with `cargo test --release --test full_scale -- --ignored`.
 
 use cxl_repro::core_api::experiments::{keydb, vm};
-use cxl_repro::core_api::CapacityConfig;
+use cxl_repro::core_api::{CapacityConfig, Runner};
 use cxl_repro::ycsb::Workload;
 
 #[test]
 #[ignore = "full Fig. 5 grid at default scale (~minutes in debug)"]
 fn fig5_full_grid_shape() {
-    let study = keydb::run(keydb::Fig5Params::default());
+    let study = keydb::run_with(&Runner::from_env(), keydb::Fig5Params::default());
     let t = |c| study.throughput(c, Workload::C);
     let mmem = t(CapacityConfig::Mmem);
     // The §4.1.2 bands at full scale.
@@ -26,7 +26,7 @@ fn fig5_full_grid_shape() {
 #[test]
 #[ignore = "full Fig. 8 run at default scale"]
 fn fig8_full_scale_shape() {
-    let s = vm::run(vm::Fig8Params::default());
+    let s = vm::run_with(&Runner::from_env(), vm::Fig8Params::default());
     let loss = s.throughput_loss();
     assert!((0.08..=0.18).contains(&loss), "loss {loss}");
 }

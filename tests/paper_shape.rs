@@ -2,12 +2,12 @@
 //! evaluation, checked against the full reproduction pipeline.
 
 use cxl_repro::core_api::experiments::{cost, keydb, latency, llm, spark, vm};
-use cxl_repro::core_api::CapacityConfig;
+use cxl_repro::core_api::{CapacityConfig, Runner};
 use cxl_repro::ycsb::Workload;
 
 #[test]
 fn section_3_loaded_latency_shape() {
-    let s = latency::run().summary;
+    let s = latency::run_with(&Runner::from_env()).summary;
     // Idle latency ordering and the paper's point values.
     assert!(s.mmem_idle_ns < s.mmem_remote_idle_ns);
     assert!(s.mmem_remote_idle_ns < s.cxl_idle_ns);
@@ -48,7 +48,7 @@ fn section_4_1_keydb_ordering() {
 
 #[test]
 fn section_4_2_spark_bands() {
-    let s = spark::run();
+    let s = spark::run_with(&Runner::from_env());
     for q in ["Q5", "Q7", "Q8", "Q9"] {
         let n31 = s.normalized("3:1", q);
         let n11 = s.normalized("1:1", q);
@@ -65,11 +65,14 @@ fn section_4_2_spark_bands() {
 
 #[test]
 fn section_4_3_vm_penalties() {
-    let s = vm::run(vm::Fig8Params {
-        record_count: 50_000,
-        ops: 60_000,
-        seed: 42,
-    });
+    let s = vm::run_with(
+        &Runner::from_env(),
+        vm::Fig8Params {
+            record_count: 50_000,
+            ops: 60_000,
+            seed: 42,
+        },
+    );
     let loss = s.throughput_loss();
     assert!((0.05..=0.25).contains(&loss), "loss {loss}");
     assert!((s.revenue.revenue_uplift() - 0.2667).abs() < 0.01);
@@ -77,7 +80,7 @@ fn section_4_3_vm_penalties() {
 
 #[test]
 fn section_5_llm_crossover() {
-    let s = llm::run();
+    let s = llm::run_with(&Runner::from_env());
     // Low threads: MMEM best. High threads: interleave wins big.
     assert!(s.rate("MMEM", 24) >= s.rate("3:1", 24) * 0.999);
     assert!(s.rate("3:1", 60) > 1.5 * s.rate("MMEM", 60));
